@@ -17,16 +17,13 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "costmodel/dataset.h"
 #include "graph/graph.h"
-#include "obs/json.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
@@ -203,87 +200,10 @@ BM_SchedulerPick(benchmark::State &state)
 }
 BENCHMARK(BM_SchedulerPick)->Arg(64)->Arg(1024);
 
-/** One captured benchmark run for the JSON report. */
-struct CapturedRun
-{
-    std::string name;
-    double realTimeNs;
-    std::map<std::string, double> counters;
-};
-std::vector<CapturedRun> g_runs;
-
-/** Console output plus capture for BENCH_serve.json. */
-class CaptureReporter : public benchmark::ConsoleReporter
-{
-  public:
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (run.error_occurred)
-                continue;
-            CapturedRun captured;
-            captured.name = run.benchmark_name();
-            captured.realTimeNs = run.GetAdjustedRealTime();
-            for (const auto &entry : run.counters)
-                captured.counters[entry.first] = entry.second.value;
-            g_runs.push_back(std::move(captured));
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-};
-
-bool
-writeJson(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "bench_serve: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::string out;
-    out += "{\n  \"bench\": \"serve\",\n";
-    out += "  \"results\": [\n";
-    for (size_t i = 0; i < g_runs.size(); ++i) {
-        const CapturedRun &run = g_runs[i];
-        out += "    {\"name\": " + obs::jsonEscape(run.name) +
-               ", \"real_time_ns\": " + obs::jsonNumber(run.realTimeNs);
-        for (const auto &counter : run.counters)
-            out += ", " + obs::jsonEscape(counter.first) + ": " +
-                   obs::jsonNumber(counter.second);
-        out += i + 1 < g_runs.size() ? "},\n" : "}\n";
-    }
-    out += "  ]\n}\n";
-    const bool ok = std::fwrite(out.data(), 1, out.size(), f) ==
-                    out.size();
-    std::fclose(f);
-    if (ok)
-        std::printf("wrote %s\n", path.c_str());
-    return ok;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonPath = "BENCH_serve.json";
-    // Peel off --json-out=FILE before google-benchmark sees argv.
-    int argOut = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json-out=", 11) == 0)
-            jsonPath = argv[i] + 11;
-        else
-            argv[argOut++] = argv[i];
-    }
-    argc = argOut;
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    return writeJson(jsonPath) ? 0 : 1;
+    return felix::bench::runSuite(argc, argv, "serve");
 }

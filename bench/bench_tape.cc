@@ -5,8 +5,8 @@
  * formulas), scalar vs. batched SoA, forward-only and
  * forward+backward, plus the batched MLP kernels the points feed and
  * the Adam parameter update, and the end-to-end surrogate descent
- * step (grad_search_step: scalar reference, unfused batch, fused,
- * fused + tape JIT). Every batched benchmark runs once per
+ * step (grad_search_step: scalar reference, unfused batch, and the
+ * fused step production runs). Every batched benchmark runs once per
  * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
  * whatever this build and CPU support), so one run shows the whole
  * width sweep. Instruction counts before/after the tape optimizer
@@ -21,18 +21,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/fused.h"
 #include "costmodel/mlp.h"
 #include "expr/compiled.h"
 #include "features/features.h"
-#include "jit/jit.h"
 #include "obs/json.h"
 #include "optim/adam.h"
 #include "rewrite/smoothing.h"
@@ -351,8 +349,7 @@ BM_GradSearchStepScalar(benchmark::State &state)
 }
 
 void
-gradSearchStepBatchImpl(benchmark::State &state, bool fused,
-                        bool useJit)
+gradSearchStepBatchImpl(benchmark::State &state, bool fused)
 {
     const auto &tape = objectiveTape();
     const auto &model = benchModel();
@@ -360,8 +357,6 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
     const size_t numVars = tape.numVars();
     const size_t numFeatures = tape.numOutputs();
     const auto init = samplePoints(tape, true);
-    const bool jitDefault = jit::enabled();
-    jit::setEnabled(useJit);
     expr::BatchEvalState evalState;
     costmodel::PredictScratch predict;
     costmodel::FusedGradStep step(tape, model, numFeatures,
@@ -410,31 +405,22 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
         }
         benchmark::DoNotOptimize(&scores[0]);
     }
-    jit::setEnabled(jitDefault);
     state.counters["steps_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
             static_cast<double>(L),
         benchmark::Counter::kIsRate);
-    state.counters["jit_active"] =
-        useJit && jit::supported() ? 1.0 : 0.0;
 }
 
 void
 BM_GradSearchStepBatch(benchmark::State &state)
 {
-    gradSearchStepBatchImpl(state, /*fused=*/false, /*useJit=*/false);
+    gradSearchStepBatchImpl(state, /*fused=*/false);
 }
 
 void
 BM_GradSearchStepFused(benchmark::State &state)
 {
-    gradSearchStepBatchImpl(state, /*fused=*/true, /*useJit=*/false);
-}
-
-void
-BM_GradSearchStepFusedJit(benchmark::State &state)
-{
-    gradSearchStepBatchImpl(state, /*fused=*/true, /*useJit=*/true);
+    gradSearchStepBatchImpl(state, /*fused=*/true);
 }
 
 void
@@ -460,7 +446,7 @@ BM_AdamStep(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 
-// ---- per-width registration and JSON capture --------------------
+// ---- per-width registration ------------------------------------
 
 /** simd_width / backend attached to each registered benchmark. */
 struct BenchTag
@@ -510,90 +496,17 @@ registerScalarEngine(const std::string &name,
         });
 }
 
-/** One captured benchmark run for the JSON report. */
-struct CapturedRun
-{
-    std::string name;
-    double realTimeNs;
-    std::map<std::string, double> counters;
-};
-std::vector<CapturedRun> g_runs;
-
-/** Console output plus capture for BENCH_tape.json. */
-class CaptureReporter : public benchmark::ConsoleReporter
-{
-  public:
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (run.error_occurred)
-                continue;
-            CapturedRun captured;
-            captured.name = run.benchmark_name();
-            captured.realTimeNs = run.GetAdjustedRealTime();
-            for (const auto &entry : run.counters)
-                captured.counters[entry.first] = entry.second.value;
-            g_runs.push_back(std::move(captured));
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-};
-
-bool
-writeJson(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "bench_tape: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::string out;
-    out += "{\n  \"bench\": \"tape\",\n";
-    out += "  \"batch_lanes\": " +
-           std::to_string(static_cast<int>(kBatchLanes)) + ",\n";
-    out += "  \"default_backend\": " +
-           std::string("\"") + simd::activeBackendName() + "\",\n";
-    out += "  \"results\": [\n";
-    for (size_t i = 0; i < g_runs.size(); ++i) {
-        const CapturedRun &run = g_runs[i];
-        const BenchTag tag = g_tags.count(run.name)
-                                 ? g_tags[run.name]
-                                 : BenchTag{0, ""};
-        out += "    {\"name\": " + obs::jsonEscape(run.name) +
-               ", \"simd_width\": " + std::to_string(tag.simdWidth) +
-               ", \"backend\": " + obs::jsonEscape(tag.backend) +
-               ", \"real_time_ns\": " + obs::jsonNumber(run.realTimeNs);
-        for (const auto &counter : run.counters)
-            out += ", " + obs::jsonEscape(counter.first) + ": " +
-                   obs::jsonNumber(counter.second);
-        out += i + 1 < g_runs.size() ? "},\n" : "}\n";
-    }
-    out += "  ]\n}\n";
-    const bool ok = std::fwrite(out.data(), 1, out.size(), f) ==
-                    out.size();
-    std::fclose(f);
-    if (ok)
-        std::printf("wrote %s\n", path.c_str());
-    return ok;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string jsonPath = "BENCH_tape.json";
-    // Peel off --json-out=FILE before google-benchmark sees argv.
-    int argOut = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--json-out=", 11) == 0)
-            jsonPath = argv[i] + 11;
-        else
-            argv[argOut++] = argv[i];
-    }
-    argc = argOut;
+    // The auto-detected backend, read before any variant pins one.
+    const std::string header =
+        "  \"batch_lanes\": " +
+        std::to_string(static_cast<int>(kBatchLanes)) +
+        ",\n  \"default_backend\": " +
+        obs::jsonEscape(simd::activeBackendName()) + ",\n";
 
     registerScalarEngine("tape_forward/scalar", BM_TapeForwardScalar);
     registerWidthVariants("tape_forward/batch", BM_TapeForwardBatch);
@@ -613,15 +526,14 @@ main(int argc, char **argv)
                           BM_GradSearchStepBatch);
     registerWidthVariants("grad_search_step/fused",
                           BM_GradSearchStepFused);
-    registerWidthVariants("grad_search_step/fused_jit",
-                          BM_GradSearchStepFusedJit);
 
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    CaptureReporter reporter;
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-    benchmark::Shutdown();
-    simd::setPreferredWidth(0);
-    return writeJson(jsonPath) ? 0 : 1;
+    return bench::runSuite(
+        argc, argv, "tape", header, [](const std::string &name) {
+            const auto it = g_tags.find(name);
+            const BenchTag tag =
+                it == g_tags.end() ? BenchTag{0, ""} : it->second;
+            return ", \"simd_width\": " +
+                   std::to_string(tag.simdWidth) +
+                   ", \"backend\": " + obs::jsonEscape(tag.backend);
+        });
 }

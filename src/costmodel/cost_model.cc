@@ -194,14 +194,6 @@ CostModel::predict(const std::vector<double> &raw_features) const
 }
 
 double
-CostModel::predictWithGrad(const std::vector<double> &raw_features,
-                           std::vector<double> &grad) const
-{
-    return predictTransformedWithGrad(
-        transformFeatures(raw_features), grad);
-}
-
-double
 CostModel::predictTransformedWithGrad(
     const std::vector<double> &transformed,
     std::vector<double> &grad) const

@@ -67,8 +67,9 @@ struct ModelMetrics
 
 /**
  * The trainable cost model. Create, fit() on a dataset (or load a
- * pretrained file), then predict()/predictWithGrad() during search
- * and finetune() with fresh measurements after each round.
+ * pretrained file), then score with the predict*() entry points
+ * during search and finetune() with fresh measurements after each
+ * round.
  */
 class CostModel
 {
@@ -102,13 +103,10 @@ class CostModel
     double predict(const std::vector<double> &raw_features) const;
 
     /**
-     * Predicted score plus d(score)/d(transformed feature) — the
-     * gradient Felix chains into the symbolic feature tape.
+     * Score plus d(score)/d(transformed feature), starting from
+     * already-transformed inputs — the gradient Felix chains into
+     * the symbolic feature tape.
      */
-    double predictWithGrad(const std::vector<double> &raw_features,
-                           std::vector<double> &grad) const;
-
-    /** Score + gradient, starting from already-transformed inputs. */
     double predictTransformedWithGrad(
         const std::vector<double> &transformed,
         std::vector<double> &grad) const;

@@ -3,14 +3,15 @@
  * The fused surrogate gradient step (one round-step of Felix's
  * descent, Algorithm 1 lines 15-18, as a single blocked pass).
  *
- * The unfused batched step materializes three full feature matrices
- * per step: tape outputs copied out of the SoA slot buffer, scaled
- * copies staged for the MLP, and the MLP input gradient copied back
- * into an adjoint-seed matrix for the tape. For an 82-feature row x
- * kBatchLanes lanes, those round-trips dominate once the tape sweep
- * itself is JIT-compiled (src/jit/). FusedGradStep chains the same
- * four stages — tape forward, MLP forward, MLP input gradient, tape
- * backward — through the engines' internal SoA rows instead:
+ * Chaining the engines' public batched entry points (forwardBatch,
+ * predictTransformedWithGradBatch, backwardBatch) materializes three
+ * full feature matrices per step: tape outputs copied out of the SoA
+ * slot buffer, scaled copies staged for the MLP, and the MLP input
+ * gradient copied back into an adjoint-seed matrix for the tape.
+ * FusedGradStep, the only descent step GradientSearch::round runs,
+ * chains the same four stages — tape forward, MLP forward, MLP input
+ * gradient, tape backward — through the engines' internal SoA rows
+ * instead:
  *
  *   tape forwardBatchKeep        (outputs stay in the slot buffer)
  *     -> standardize rows straight into Mlp::stageInputRows
@@ -19,10 +20,11 @@
  *   tape finishBackwardBatch     (input grads out, as before)
  *
  * Bit-exactness: every arithmetic operation, in the same order, on
- * the same values as the unfused path — the only eliminated work is
- * copies (and the penalty seed's "+= 0.0" writes, which are bitwise
- * no-ops on the freshly zeroed adjoint rows). tests/test_jit.cc
- * asserts fused == unfused per lane, bit for bit, at every width.
+ * the same values as the unfused sequence — the only eliminated work
+ * is copies (and the penalty seed's "+= 0.0" writes, which are
+ * bitwise no-ops on the freshly zeroed adjoint rows).
+ * tests/test_simd.cc asserts fused == unfused per lane, bit for bit,
+ * at every width on every backend.
  */
 #ifndef FELIX_COSTMODEL_FUSED_H_
 #define FELIX_COSTMODEL_FUSED_H_

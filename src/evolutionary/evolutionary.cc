@@ -24,20 +24,6 @@ using optim::RoundResult;
 
 namespace {
 
-/** Same phase accounting as the gradient search (sketch gen). */
-std::vector<sketch::SymbolicSchedule>
-generateSketchesTimed(const tir::SubgraphDef &subgraph,
-                      const sketch::GenOptions &options)
-{
-    auto &registry = obs::MetricsRegistry::instance();
-    obs::ScopedTimerMs timer(registry.counter("sketch.generate_ms"));
-    FELIX_SPAN("sketch.generate", "sketch");
-    auto sketches = sketch::generateSketches(subgraph, options);
-    registry.counter("sketch.generated")
-        .add(static_cast<double>(sketches.size()));
-    return sketches;
-}
-
 /**
  * Per-worker scratch for batched population scoring: tape + model
  * buffers plus the SoA staging rows, allocated once per worker
@@ -62,8 +48,8 @@ workerScratch()
 EvolutionarySearch::EvolutionarySearch(const tir::SubgraphDef &subgraph,
                                        EvoSearchOptions options)
     : options_(std::move(options)),
-      sketches_(generateSketchesTimed(subgraph,
-                                      options_.sketchOptions))
+      sketches_(optim::generateSketchesTimed(subgraph,
+                                             options_.sketchOptions))
 {
     obs::ScopedTimerMs timer(obs::MetricsRegistry::instance().counter(
         "search.compile_tapes_ms"));
@@ -191,19 +177,6 @@ EvolutionarySearch::valid(const Individual &individual) const
 {
     const SketchContext &context = contexts_[individual.sketchIndex];
     return context.checker->feasible(individual.x);
-}
-
-double
-EvolutionarySearch::evaluate(Individual &individual,
-                             const costmodel::CostModel &model) const
-{
-    const SketchContext &context = contexts_[individual.sketchIndex];
-    // One eval state per worker, reused across individuals and
-    // rounds (it rebinds itself when the sketch tape changes).
-    static thread_local expr::EvalState state;
-    auto raw = context.rawFeatures->eval(individual.x, state);
-    individual.score = model.predict(raw);
-    return individual.score;
 }
 
 RoundResult

@@ -79,8 +79,6 @@ class EvolutionarySearch : public optim::SearchStrategy
     Individual crossover(const Individual &a, const Individual &b,
                          Rng &rng) const;
     bool valid(const Individual &individual) const;
-    double evaluate(Individual &individual,
-                    const costmodel::CostModel &model) const;
 
     EvoSearchOptions options_;
     std::vector<sketch::SymbolicSchedule> sketches_;

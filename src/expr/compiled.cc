@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "expr/op_kernels.h"
-#include "jit/jit.h"
 #include "obs/metrics.h"
 #include "simd/kernels.h"
 #include "support/logging.h"
@@ -52,34 +51,6 @@ CompiledExprs::CompiledExprs(std::vector<Expr> roots,
         .add(static_cast<double>(optStats_.identityForwarded));
     reg.counter("tape.dead_removed")
         .add(static_cast<double>(optStats_.deadRemoved));
-}
-
-CompiledExprs::~CompiledExprs() = default;
-
-const jit::JitTape *
-CompiledExprs::jitTape() const
-{
-    if (!jit::enabled() || !jit::supported())
-        return nullptr;
-    const jit::JitTape *tape =
-        jitCache_.load(std::memory_order_acquire);
-    if (tape != nullptr)
-        return tape;
-    if (jitFailed_.load(std::memory_order_relaxed))
-        return nullptr;
-    std::lock_guard<std::mutex> lock(jitMutex_);
-    tape = jitCache_.load(std::memory_order_relaxed);
-    if (tape != nullptr || jitFailed_.load(std::memory_order_relaxed))
-        return tape;
-    jitTape_ = jit::JitTape::compile(program_);
-    if (jitTape_ == nullptr) {
-        // Empty tape, no executable memory, ... — remember the
-        // failure so the interpreter fallback is branch-cheap.
-        jitFailed_.store(true, std::memory_order_relaxed);
-        return nullptr;
-    }
-    jitCache_.store(jitTape_.get(), std::memory_order_release);
-    return jitTape_.get();
 }
 
 void
@@ -206,19 +177,14 @@ CompiledExprs::forwardBatchKeep(const double *inputs, size_t width,
             row[l] = in[l < width ? l : 0];
     }
 
-    // The instruction sweep: either the JIT-compiled tape (the same
-    // kernel bodies as straight-line native code, bit-identical by
-    // construction — tests/test_jit.cc) or the runtime-dispatched
-    // SIMD backend (src/simd/): the same per-op kernels as the
-    // scalar walk, in lane-vector form (expr/op_kernels.h), chunked
-    // across the kBatchLanes-wide rows. Tape slots are SSA —
-    // operands always live in strictly earlier slots, so the
-    // destination row never aliases them — and every backend is
-    // bit-identical per lane (tests/test_simd.cc).
-    if (const jit::JitTape *jt = jitTape())
-        jt->forward(vals);
-    else
-        simd::activeKernels().tapeForward(program_, vals);
+    // The instruction sweep runs in the runtime-dispatched SIMD
+    // backend (src/simd/): the same per-op kernels as the scalar
+    // walk, in lane-vector form (expr/op_kernels.h), chunked across
+    // the kBatchLanes-wide rows. Tape slots are SSA — operands always
+    // live in strictly earlier slots, so the destination row never
+    // aliases them — and every backend is bit-identical per lane
+    // (tests/test_simd.cc).
+    simd::activeKernels().tapeForward(program_, vals);
 
     state.width = width;
     state.forwardDone = true;
@@ -272,18 +238,13 @@ CompiledExprs::finishBackwardBatch(double *input_grads,
     const double *vals = state.values.data();
     double *adjs = state.adjoints.data();
 
-    // The reverse sweep runs as JIT-compiled native code or in the
-    // dispatched backend; both execute the same per-instruction
-    // bodies: per-chunk all-zero skip (the vector form of the scalar
-    // zero-skip) and blended adjoint updates whose masked-out lanes
-    // contribute an exact +0.0 — a bitwise no-op on accumulator
-    // rows — so the data-dependent branch structure of backpropOp is
-    // reproduced bit for bit at every width (see opk::backpropOpV).
-    const jit::JitTape *jt = jitTape();
-    if (jt != nullptr && jt->hasBackward())
-        jt->backward(vals, adjs);
-    else
-        simd::activeKernels().tapeBackward(program_, vals, adjs);
+    // The reverse sweep runs in the dispatched backend: per-chunk
+    // all-zero skip (the vector form of the scalar zero-skip) and
+    // blended adjoint updates whose masked-out lanes contribute an
+    // exact +0.0 — a bitwise no-op on accumulator rows — so the
+    // data-dependent branch structure of backpropOp is reproduced
+    // bit for bit at every width (see opk::backpropOpV).
+    simd::activeKernels().tapeBackward(program_, vals, adjs);
 
     const size_t varBase = program_.firstVarSlot();
     for (size_t v = 0; v < program_.numVars; ++v) {

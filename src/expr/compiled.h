@@ -20,10 +20,7 @@
 #ifndef FELIX_EXPR_COMPILED_H_
 #define FELIX_EXPR_COMPILED_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,9 +31,6 @@
 #include "support/batch.h"
 
 namespace felix {
-namespace jit {
-class JitTape;
-}
 namespace expr {
 
 /**
@@ -101,8 +95,6 @@ class CompiledExprs
     explicit CompiledExprs(std::vector<Expr> roots,
                            std::vector<std::string> var_order = {},
                            bool forward_only = false);
-
-    ~CompiledExprs(); // out of line: jit::JitTape is incomplete here
 
     /** Variable slot order expected by forward(). */
     const std::vector<std::string> &varNames() const { return varNames_; }
@@ -239,28 +231,11 @@ class CompiledExprs
     void bind(EvalState &state) const;
     void bind(BatchEvalState &state) const;
 
-    /**
-     * The JIT-compiled tape, or nullptr when the JIT is off,
-     * unsupported, or compilation failed. Compiled lazily on first
-     * use (most tapes are short-lived throwaways; only the ones that
-     * reach a batched hot loop pay for emission), double-checked so
-     * concurrent workers race benignly. jit::enabled() is consulted
-     * on every call — not captured at compile time — so runtime
-     * toggles (felix-tune --no-jit, benches A/B-ing) take effect at
-     * the next batch even for already-compiled tapes.
-     */
-    const jit::JitTape *jitTape() const;
-
     std::vector<std::string> varNames_;
     TapeProgram program_;
     TapeOptStats optStats_;
     uint64_t tapeId_;   ///< process-unique, guards state rebinding
     EvalState state_;   ///< backs the stateless overloads only
-
-    mutable std::mutex jitMutex_;
-    mutable std::unique_ptr<jit::JitTape> jitTape_;
-    mutable std::atomic<const jit::JitTape *> jitCache_{nullptr};
-    mutable std::atomic<bool> jitFailed_{false};
 };
 
 /**

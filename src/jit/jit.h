@@ -1,115 +1,33 @@
 /**
  * @file
- * Copy-and-patch JIT for the optimized expression tape.
+ * Shim left behind by the removed copy-and-patch tape JIT. Every tape
+ * now runs through the batched SIMD interpreter (simd/kernels.h), so
+ * both queries below are constant false.
  *
- * The batched interpreter (simd/kernels_impl.h) pays one indirect
- * dispatch, operand-pointer setup and loop control per instruction
- * per step — for tapes of a few hundred instructions that overhead
- * rivals the arithmetic. JitTape instead emits each tape once as
- * straight-line native code over the kBatchLanes-wide SoA rows:
- * cheap elementwise ops become the exact AVX2 instruction sequences
- * of the vector kernels in expr/op_kernels.h (patched with their
- * operand rows' displacements), and ops needing libm or
- * data-dependent adjoint logic become calls into pre-compiled
- * stencils that ARE the interpreter's per-instruction bodies
- * (jit/stencils.h). Bit-exactness with the scalar interpreter —
- * on every backend — holds by construction and is enforced by
- * tests/test_jit.cc.
- *
- * Availability: x86-64 with AVX2 (runtime-checked), compiled in only
- * when the toolchain has -mavx2. Everything else falls back to the
- * interpreter transparently. Escape hatches mirror the --simd knob:
- * the FELIX_JIT environment variable ("off" or "0" disables),
- * setEnabled() (felix-tune --no-jit plumbs into it). The resolved
- * state is published as the `jit.enabled` gauge.
- *
- * Generated code lives in a W^X mmap'd buffer: pages are writable
- * during emission, then flipped to read+execute (never both) for the
- * lifetime of the tape.
+ * The only includer is the end-to-end benchmark
+ * (e2ebench/bench_e2e.cc), which still reports a `jit` field in its
+ * host fingerprint. The benchmark change that drops that field
+ * deletes this header with it. Nothing else may include it.
  */
 #ifndef FELIX_JIT_JIT_H_
 #define FELIX_JIT_JIT_H_
 
-#include <cstddef>
-#include <memory>
-
-#include "expr/tape.h"
-
 namespace felix {
 namespace jit {
 
-/** Can this build + CPU run JIT-compiled tapes? (x86-64, AVX2,
- *  stencils compiled in.) Constant per process. */
-bool supported();
-
-/** Is the JIT turned on? Resolved once from FELIX_JIT ("off"/"0"
- *  disables, default on), overridable via setEnabled(). Callers
- *  must also check supported(). */
-bool enabled();
-
-/** Force the JIT on or off (outranks the environment variable).
- *  Takes effect at the next forwardBatch/backwardBatch call — even
- *  for tapes already compiled — so benches can A/B at runtime. */
-void setEnabled(bool on);
-
-/**
- * One tape compiled to native code. Immutable after compile();
- * forward()/backward() are const and thread-safe (callers bring
- * their own SoA buffers, exactly like the interpreter kernels).
- */
-class JitTape
+/** No build compiles tapes to native code. */
+inline bool
+supported()
 {
-  public:
-    /**
-     * Compile @p program. Returns nullptr when the JIT is
-     * unsupported, the tape is empty, or executable memory is
-     * unavailable — callers fall back to the interpreter.
-     * The backward function is omitted for forward-only tapes.
-     */
-    static std::unique_ptr<JitTape>
-    compile(const expr::TapeProgram &program);
+    return false;
+}
 
-    ~JitTape();
-    JitTape(const JitTape &) = delete;
-    JitTape &operator=(const JitTape &) = delete;
-
-    /** Drop-in for KernelSet::tapeForward: the instruction sweep
-     *  over the bound SoA slot buffer (leaf rows already filled). */
-    void
-    forward(double *vals) const
-    {
-        fwd_(vals);
-    }
-
-    bool hasBackward() const { return bwd_ != nullptr; }
-
-    /** Drop-in for KernelSet::tapeBackward: the reverse sweep
-     *  (adjoint seeding/extraction stay with the caller). */
-    void
-    backward(const double *vals, double *adjs) const
-    {
-        bwd_(vals, adjs);
-    }
-
-    /** Emitted machine-code size (metrics, tests). */
-    size_t codeBytes() const { return codeSize_; }
-
-    /** Start of the executable mapping (tests: W^X verification,
-     *  disassembly). */
-    const void *codePtr() const { return mem_; }
-
-  private:
-    JitTape() = default;
-
-    using FwdFn = void (*)(double *vals);
-    using BwdFn = void (*)(const double *vals, double *adjs);
-
-    void *mem_ = nullptr;       ///< W^X mapping (RX after emission)
-    size_t mapSize_ = 0;
-    size_t codeSize_ = 0;
-    FwdFn fwd_ = nullptr;
-    BwdFn bwd_ = nullptr;
-};
+/** No build compiles tapes to native code. */
+inline bool
+enabled()
+{
+    return false;
+}
 
 } // namespace jit
 } // namespace felix

@@ -285,16 +285,11 @@ isWallClockMetricName(const std::string &name)
     };
     // Wall-clock timers and rates, plus host-configuration metrics
     // that legitimately differ between the processes of one sharded
-    // run (pool size, SIMD width, tape-JIT availability and its
-    // per-process compile counters) without affecting any result
-    // byte — the JIT is bit-identical to the interpreter, but how
-    // many tapes each process compiles depends on restart/shard
-    // topology.
+    // run (pool size, SIMD width) without affecting any result byte.
     return endsWith("_ms") || endsWith("_us") ||
            name.find("per_sec") != std::string::npos ||
            name == "threads.pool_size" ||
-           name.compare(0, 5, "simd.") == 0 ||
-           name.compare(0, 4, "jit.") == 0;
+           name.compare(0, 5, "simd.") == 0;
 }
 
 MetricsSnapshot

@@ -22,12 +22,6 @@ namespace optim {
 
 using expr::Expr;
 
-std::vector<double>
-SearchStrategy::featuresOf(const Candidate &candidate)
-{
-    return candidate.rawFeatures;
-}
-
 void
 writeCandidate(std::ostream &os, const Candidate &candidate)
 {
@@ -102,9 +96,6 @@ GradientSearch::loadState(std::istream &is)
     return true;
 }
 
-namespace {
-
-/** Times sketch + tape construction into the shared phase metrics. */
 std::vector<sketch::SymbolicSchedule>
 generateSketchesTimed(const tir::SubgraphDef &subgraph,
                       const sketch::GenOptions &options)
@@ -117,8 +108,6 @@ generateSketchesTimed(const tir::SubgraphDef &subgraph,
         .add(static_cast<double>(sketches.size()));
     return sketches;
 }
-
-} // namespace
 
 GradientSearch::GradientSearch(const tir::SubgraphDef &subgraph,
                                GradSearchOptions options)
@@ -201,7 +190,7 @@ struct SeedOutcome
 };
 
 /**
- * Per-worker scratch for the batched descent and ranking paths:
+ * Per-worker scratch for the batched descent and ranking loops:
  * tape + model buffers plus the SoA staging rows, allocated once per
  * worker thread and reused across batches and rounds.
  */
@@ -209,8 +198,8 @@ struct WorkerBatchScratch
 {
     expr::BatchEvalState tape;
     costmodel::PredictScratch predict;
-    std::vector<double> inputs, outputs, outputGrads, inputGrads;
-    std::vector<double> modelGrads, laneGrad, logPoint;
+    std::vector<double> inputs, outputs, inputGrads;
+    std::vector<double> laneGrad, logPoint;
 };
 
 WorkerBatchScratch &
@@ -233,253 +222,132 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
     const int numFeatures = features::kNumFeatures;
 
     // Each seed descends independently: forked rng, private Adam
-    // state and eval scratch, results merged below in seed order so
+    // state and iterate, results merged below in seed order so
     // --jobs N matches --jobs 1 bit for bit.
     std::vector<Rng> seedRngs = rng.forkStreams(options_.nSeeds);
     std::vector<SeedOutcome> outcomes(options_.nSeeds);
 
-    if (options_.useBatch) {
-        // Seeds sharing a sketch descend in lockstep batches of up
-        // to kBatchLanes lanes through the batched tape and the
-        // batched MLP. Batch composition depends only on seed
-        // indices (never on --jobs), each lane carries exactly the
-        // per-seed state the scalar path would (rng, Adam, iterate),
-        // and every batched kernel is per-lane bit-identical to its
-        // scalar counterpart — so the outcome per seed is
-        // bit-identical to the scalar branch below.
-        struct SeedBatch
-        {
-            int sketchIdx = 0;
-            std::vector<int> seeds;
-        };
-        std::vector<SeedBatch> batches;
-        for (size_t sk = 0; sk < contexts_.size(); ++sk) {
-            SeedBatch cur{static_cast<int>(sk), {}};
-            for (int seed = 0; seed < options_.nSeeds; ++seed) {
-                if (seed % static_cast<int>(contexts_.size()) !=
-                    static_cast<int>(sk))
-                    continue;
-                cur.seeds.push_back(seed);
-                if (cur.seeds.size() == kBatchLanes) {
-                    batches.push_back(std::move(cur));
-                    cur = SeedBatch{static_cast<int>(sk), {}};
-                }
-            }
-            if (!cur.seeds.empty())
+    // Seeds sharing a sketch descend in lockstep batches of up to
+    // kBatchLanes lanes. Batch composition depends only on seed
+    // indices (never on --jobs), each lane carries its own rng, Adam
+    // state and iterate, and every batched kernel is per-lane
+    // independent — so a seed's outcome does not depend on which
+    // seeds share its batch (tests/test_tape.cc).
+    struct SeedBatch
+    {
+        int sketchIdx = 0;
+        std::vector<int> seeds;
+    };
+    std::vector<SeedBatch> batches;
+    for (size_t sk = 0; sk < contexts_.size(); ++sk) {
+        SeedBatch cur{static_cast<int>(sk), {}};
+        for (int seed = 0; seed < options_.nSeeds; ++seed) {
+            if (seed % static_cast<int>(contexts_.size()) !=
+                static_cast<int>(sk))
+                continue;
+            cur.seeds.push_back(seed);
+            if (cur.seeds.size() == kBatchLanes) {
                 batches.push_back(std::move(cur));
-        }
-        registry.counter("search.seed_batches")
-            .add(static_cast<double>(batches.size()));
-
-        // One fused stepper per sketch, shared by all workers (it is
-        // immutable; per-worker state lives in WorkerBatchScratch).
-        // The unfused sequence below it is the bit-exactness
-        // reference (tests) and the A/B baseline (bench).
-        std::vector<costmodel::FusedGradStep> fusedSteps;
-        if (options_.useFused) {
-            fusedSteps.reserve(contexts_.size());
-            for (const SketchContext &context : contexts_)
-                fusedSteps.emplace_back(
-                    *context.objective, model,
-                    static_cast<size_t>(numFeatures),
-                    context.numPenalties, options_.lambda);
-        }
-
-        parallelFor("search.seed_batch", batches.size(), [&](size_t
-                                                                bi) {
-            const SeedBatch &batch = batches[bi];
-            const SketchContext &context = contexts_[batch.sketchIdx];
-            const size_t numVars = context.varNames.size();
-            const size_t width = batch.seeds.size();
-            const size_t numOutputs = context.objective->numOutputs();
-            constexpr size_t L = kBatchLanes;
-
-            std::vector<std::vector<double>> x0(width), y(width);
-            std::vector<Adam> adams;
-            adams.reserve(width);
-            for (size_t l = 0; l < width; ++l) {
-                const int seed = batch.seeds[l];
-                Rng &seedRng = seedRngs[seed];
-                if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
-                    bestMeasured_.sketchIndex == batch.sketchIdx) {
-                    x0[l] = bestMeasured_.x;
-                } else {
-                    x0[l] =
-                        sketch::sampleValid(*context.sched, seedRng);
-                }
-                y[l].resize(numVars);
-                for (size_t i = 0; i < numVars; ++i) {
-                    y[l][i] = options_.applyLogExp
-                                  ? std::log(std::max(1.0, x0[l][i]))
-                                  : x0[l][i];
-                }
-                adams.emplace_back(numVars, options_.adam);
+                cur = SeedBatch{static_cast<int>(sk), {}};
             }
+        }
+        if (!cur.seeds.empty())
+            batches.push_back(std::move(cur));
+    }
+    registry.counter("search.seed_batches")
+        .add(static_cast<double>(batches.size()));
 
-            WorkerBatchScratch &ws = workerScratch();
-            ws.inputs.resize(numVars * L);
-            ws.outputs.resize(numOutputs * L);
-            ws.outputGrads.resize(numOutputs * L);
-            ws.inputGrads.resize(numVars * L);
-            ws.modelGrads.resize(
-                static_cast<size_t>(numFeatures) * L);
-            ws.laneGrad.resize(numVars);
-            double scores[kBatchLanes];
+    // One fused stepper per sketch, shared by all workers (it is
+    // immutable; per-worker state lives in WorkerBatchScratch).
+    std::vector<costmodel::FusedGradStep> fusedSteps;
+    fusedSteps.reserve(contexts_.size());
+    for (const SketchContext &context : contexts_)
+        fusedSteps.emplace_back(*context.objective, model,
+                                static_cast<size_t>(numFeatures),
+                                context.numPenalties, options_.lambda);
 
-            for (int step = 0; step < options_.nSteps; ++step) {
-                for (size_t l = 0; l < width; ++l)
-                    for (size_t v = 0; v < numVars; ++v)
-                        ws.inputs[v * L + l] = y[l][v];
-                if (options_.useFused) {
-                    // Fused: the same four stages with the feature
-                    // rows kept inside the engines' SoA buffers
-                    // (costmodel/fused.h; bit-identical to the
-                    // sequence below).
-                    fusedSteps[batch.sketchIdx].run(
-                        ws.inputs.data(), width, scores,
-                        ws.inputGrads.data(), ws.tape, ws.predict);
-                } else {
-                context.objective->forwardBatch(
-                    ws.inputs.data(), width, ws.outputs.data(),
-                    ws.tape);
-                // The first numFeatures output rows are the smoothed
-                // model inputs, already in the SoA rows the batched
-                // cost model consumes — no repacking.
-                model.predictTransformedWithGradBatch(
-                    ws.outputs.data(), scores, ws.modelGrads.data(),
-                    ws.predict);
-
-                std::fill(ws.outputGrads.begin(),
-                          ws.outputGrads.end(), 0.0);
-                for (int k = 0; k < numFeatures; ++k) {
-                    const size_t row = static_cast<size_t>(k) * L;
-                    for (size_t l = 0; l < width; ++l)
-                        ws.outputGrads[row + l] =
-                            -ws.modelGrads[row + l];
-                }
-                for (size_t p = 0; p < context.numPenalties; ++p) {
-                    const size_t row = (numFeatures + p) * L;
-                    for (size_t l = 0; l < width; ++l) {
-                        const double g = ws.outputs[row + l];
-                        if (g > 0.0)
-                            ws.outputGrads[row + l] =
-                                options_.lambda * 2.0 * g;
-                    }
-                }
-                context.objective->backwardBatch(
-                    ws.outputGrads.data(), ws.inputGrads.data(),
-                    ws.tape);
-                }
-                for (size_t l = 0; l < width; ++l)
-                    outcomes[batch.seeds[l]].visitedScores.push_back(
-                        scores[l]);
-
-                for (size_t l = 0; l < width; ++l) {
-                    SeedOutcome &outcome = outcomes[batch.seeds[l]];
-                    for (size_t v = 0; v < numVars; ++v)
-                        ws.laneGrad[v] = ws.inputGrads[v * L + l];
-                    adams[l].step(y[l], ws.laneGrad);
-
-                    ws.logPoint = y[l];
-                    if (!options_.applyLogExp) {
-                        for (double &v : ws.logPoint)
-                            v = std::log(std::max(1e-9, v));
-                    }
-                    auto rounded = sketch::roundToValid(
-                        *context.sched, ws.logPoint,
-                        *context.checker);
-                    ++outcome.roundingAttempts;
-                    if (rounded) {
-                        outcome.validPoints.push_back(
-                            std::move(*rounded));
-                    } else {
-                        ++outcome.roundingInvalid;
-                    }
-                }
-            }
-            for (size_t l = 0; l < width; ++l)
-                outcomes[batch.seeds[l]].validPoints.push_back(
-                    std::move(x0[l]));
-        });
-    } else {
-    parallelFor("search.seed_descent", options_.nSeeds, [&](size_t
-                                                                seed) {
-        const int sketchIdx =
-            static_cast<int>(seed % contexts_.size());
-        const SketchContext &context = contexts_[sketchIdx];
+    parallelFor("search.seed_batch", batches.size(), [&](size_t bi) {
+        const SeedBatch &batch = batches[bi];
+        const SketchContext &context = contexts_[batch.sketchIdx];
         const size_t numVars = context.varNames.size();
-        Rng &seedRng = seedRngs[seed];
-        SeedOutcome &outcome = outcomes[seed];
+        const size_t width = batch.seeds.size();
+        constexpr size_t L = kBatchLanes;
 
         // RandomInitSchedVars: rejection-sample a valid start; with
-        // the e^y substitution the iterate lives in log space. One
-        // seed warm-starts from the best measured schedule so late
-        // rounds refine around the incumbent (Ansor keeps elites the
-        // same way).
-        std::vector<double> x0;
-        if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
-            bestMeasured_.sketchIndex == sketchIdx) {
-            x0 = bestMeasured_.x;
-        } else {
-            x0 = sketch::sampleValid(*context.sched, seedRng);
-        }
-        std::vector<double> y(numVars);
-        for (size_t i = 0; i < numVars; ++i) {
-            y[i] = options_.applyLogExp
-                       ? std::log(std::max(1.0, x0[i]))
-                       : x0[i];
+        // the e^y substitution the iterate lives in log space. Seed 0
+        // warm-starts from the best measured schedule so late rounds
+        // refine around the incumbent (Ansor keeps elites the same
+        // way).
+        std::vector<std::vector<double>> x0(width), y(width);
+        std::vector<Adam> adams;
+        adams.reserve(width);
+        for (size_t l = 0; l < width; ++l) {
+            const int seed = batch.seeds[l];
+            Rng &seedRng = seedRngs[seed];
+            if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
+                bestMeasured_.sketchIndex == batch.sketchIdx) {
+                x0[l] = bestMeasured_.x;
+            } else {
+                x0[l] = sketch::sampleValid(*context.sched, seedRng);
+            }
+            y[l].resize(numVars);
+            for (size_t i = 0; i < numVars; ++i) {
+                y[l][i] = options_.applyLogExp
+                              ? std::log(std::max(1.0, x0[l][i]))
+                              : x0[l][i];
+            }
+            adams.emplace_back(numVars, options_.adam);
         }
 
-        Adam adam(numVars, options_.adam);
-        expr::EvalState evalState;
-        std::vector<double> outputs, outputGrads, inputGrads;
-        std::vector<double> modelInputs(numFeatures);
-        std::vector<double> modelGrad;
+        WorkerBatchScratch &ws = workerScratch();
+        ws.inputs.resize(numVars * L);
+        ws.inputGrads.resize(numVars * L);
+        ws.laneGrad.resize(numVars);
+        double scores[kBatchLanes];
 
         for (int step = 0; step < options_.nSteps; ++step) {
-            context.objective->forward(y, outputs, evalState);
-            for (int k = 0; k < numFeatures; ++k)
-                modelInputs[k] = outputs[k];
-            const double score = model.predictTransformedWithGrad(
-                modelInputs, modelGrad);
-            outcome.visitedScores.push_back(score);
+            for (size_t l = 0; l < width; ++l)
+                for (size_t v = 0; v < numVars; ++v)
+                    ws.inputs[v * L + l] = y[l][v];
+            // Tape forward, model score + input gradient, penalty
+            // seeding, tape backward (costmodel/fused.h).
+            fusedSteps[batch.sketchIdx].run(ws.inputs.data(), width,
+                                            scores,
+                                            ws.inputGrads.data(),
+                                            ws.tape, ws.predict);
+            for (size_t l = 0; l < width; ++l)
+                outcomes[batch.seeds[l]].visitedScores.push_back(
+                    scores[l]);
 
-            // d(O)/d(outputs): -dC/dz for the features, and
-            // lambda * 2 * max(g, 0) for each penalty term.
-            outputGrads.assign(outputs.size(), 0.0);
-            for (int k = 0; k < numFeatures; ++k)
-                outputGrads[k] = -modelGrad[k];
-            for (size_t p = 0; p < context.numPenalties; ++p) {
-                const double g = outputs[numFeatures + p];
-                if (g > 0.0) {
-                    outputGrads[numFeatures + p] =
-                        options_.lambda * 2.0 * g;
+            for (size_t l = 0; l < width; ++l) {
+                SeedOutcome &outcome = outcomes[batch.seeds[l]];
+                for (size_t v = 0; v < numVars; ++v)
+                    ws.laneGrad[v] = ws.inputGrads[v * L + l];
+                adams[l].step(y[l], ws.laneGrad);
+
+                // Round the newly visited point to a valid schedule
+                // and remember it (GetValidSchedules over the whole
+                // history).
+                ws.logPoint = y[l];
+                if (!options_.applyLogExp) {
+                    for (double &v : ws.logPoint)
+                        v = std::log(std::max(1e-9, v));
+                }
+                auto rounded = sketch::roundToValid(
+                    *context.sched, ws.logPoint, *context.checker);
+                ++outcome.roundingAttempts;
+                if (rounded) {
+                    outcome.validPoints.push_back(std::move(*rounded));
+                } else {
+                    ++outcome.roundingInvalid;
                 }
             }
-            context.objective->backward(outputGrads, inputGrads,
-                                        evalState);
-            adam.step(y, inputGrads);
-
-            // Round the newly visited point to a valid schedule and
-            // remember it (GetValidSchedules over the whole history).
-            std::vector<double> logPoint = y;
-            if (!options_.applyLogExp) {
-                for (double &v : logPoint)
-                    v = std::log(std::max(1e-9, v));
-            }
-            auto rounded = sketch::roundToValid(
-                *context.sched, logPoint, *context.checker);
-            ++outcome.roundingAttempts;
-            if (rounded) {
-                outcome.validPoints.push_back(std::move(*rounded));
-            } else {
-                ++outcome.roundingInvalid;
-            }
         }
-        // The starting point is a valid schedule too.
-        outcome.validPoints.push_back(std::move(x0));
+        // The starting points are valid schedules too.
+        for (size_t l = 0; l < width; ++l)
+            outcomes[batch.seeds[l]].validPoints.push_back(
+                std::move(x0[l]));
     });
-    }
 
     // Deduplicated valid candidates across all seeds and steps,
     // keyed by a cheap canonical hash of (sketch, x). The single
@@ -531,75 +399,51 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                       return a.sketchIndex < b.sketchIndex;
                   return a.x < b.x;
               });
-    if (options_.useBatch) {
-        // Same-sketch candidates are contiguous after the sort, so
-        // each batch shares one feature tape; the tape's output rows
-        // flow into the batched MLP without repacking.
-        struct RankBatch
-        {
-            size_t begin = 0, end = 0;
-        };
-        std::vector<RankBatch> rankBatches;
-        for (size_t i = 0; i < candidates.size();) {
-            size_t runEnd = i;
-            while (runEnd < candidates.size() &&
-                   candidates[runEnd].sketchIndex ==
-                       candidates[i].sketchIndex)
-                ++runEnd;
-            for (size_t b = i; b < runEnd; b += kBatchLanes)
-                rankBatches.push_back(
-                    RankBatch{b, std::min(runEnd, b + kBatchLanes)});
-            i = runEnd;
-        }
-        parallelFor(
-            "search.rank_batch", rankBatches.size(), [&](size_t bi) {
-                const RankBatch rb = rankBatches[bi];
-                const size_t width = rb.end - rb.begin;
-                const SketchContext &context =
-                    contexts_[candidates[rb.begin].sketchIndex];
-                const size_t numVars = context.varNames.size();
-                constexpr size_t L = kBatchLanes;
-                WorkerBatchScratch &ws = workerScratch();
-                ws.inputs.resize(numVars * L);
-                ws.outputs.resize(
-                    static_cast<size_t>(numFeatures) * L);
-                for (size_t l = 0; l < width; ++l)
-                    for (size_t v = 0; v < numVars; ++v)
-                        ws.inputs[v * L + l] =
-                            candidates[rb.begin + l].x[v];
-                context.rawFeatures->forwardBatch(
-                    ws.inputs.data(), width, ws.outputs.data(),
-                    ws.tape);
-                double scores[kBatchLanes];
-                model.predictBatch(ws.outputs.data(), scores,
-                                   ws.predict);
-                for (size_t l = 0; l < width; ++l) {
-                    Candidate &candidate = candidates[rb.begin + l];
-                    candidate.rawFeatures.resize(numFeatures);
-                    for (int k = 0; k < numFeatures; ++k)
-                        candidate.rawFeatures[k] =
-                            ws.outputs[static_cast<size_t>(k) * L +
-                                       l];
-                    candidate.predictedScore = scores[l];
-                }
-            });
-    } else {
-        parallelFor("search.rank_candidate", candidates.size(),
-                    [&](size_t i) {
-                        Candidate &candidate = candidates[i];
-                        const SketchContext &context =
-                            contexts_[candidate.sketchIndex];
-                        // One eval state per worker, reused across
-                        // candidates and rounds (it rebinds itself
-                        // when the sketch tape changes).
-                        static thread_local expr::EvalState evalState;
-                        candidate.rawFeatures =
-                            context.rawFeatures->eval(candidate.x,
-                                                      evalState);
-                        candidate.predictedScore =
-                            model.predict(candidate.rawFeatures);
-                    });
+    // Same-sketch candidates are contiguous after the sort, so each
+    // batch shares one feature tape; the tape's output rows flow
+    // into the batched MLP without repacking.
+    struct RankBatch
+    {
+        size_t begin = 0, end = 0;
+    };
+    std::vector<RankBatch> rankBatches;
+    for (size_t i = 0; i < candidates.size();) {
+        size_t runEnd = i;
+        while (runEnd < candidates.size() &&
+               candidates[runEnd].sketchIndex ==
+                   candidates[i].sketchIndex)
+            ++runEnd;
+        for (size_t b = i; b < runEnd; b += kBatchLanes)
+            rankBatches.push_back(
+                RankBatch{b, std::min(runEnd, b + kBatchLanes)});
+        i = runEnd;
     }
+    parallelFor("search.rank_batch", rankBatches.size(), [&](size_t bi) {
+        const RankBatch rb = rankBatches[bi];
+        const size_t width = rb.end - rb.begin;
+        const SketchContext &context =
+            contexts_[candidates[rb.begin].sketchIndex];
+        const size_t numVars = context.varNames.size();
+        constexpr size_t L = kBatchLanes;
+        WorkerBatchScratch &ws = workerScratch();
+        ws.inputs.resize(numVars * L);
+        ws.outputs.resize(static_cast<size_t>(numFeatures) * L);
+        for (size_t l = 0; l < width; ++l)
+            for (size_t v = 0; v < numVars; ++v)
+                ws.inputs[v * L + l] = candidates[rb.begin + l].x[v];
+        context.rawFeatures->forwardBatch(ws.inputs.data(), width,
+                                          ws.outputs.data(), ws.tape);
+        double scores[kBatchLanes];
+        model.predictBatch(ws.outputs.data(), scores, ws.predict);
+        for (size_t l = 0; l < width; ++l) {
+            Candidate &candidate = candidates[rb.begin + l];
+            candidate.rawFeatures.resize(numFeatures);
+            for (int k = 0; k < numFeatures; ++k)
+                candidate.rawFeatures[k] =
+                    ws.outputs[static_cast<size_t>(k) * L + l];
+            candidate.predictedScore = scores[l];
+        }
+    });
     result.trace.numPredictions +=
         static_cast<int>(candidates.size());
     std::sort(candidates.begin(), candidates.end(),

@@ -76,6 +76,15 @@ struct RoundResult
     SearchTrace trace;
 };
 
+/**
+ * sketch::generateSketches, timed into the phase metrics both search
+ * strategies share: the `sketch.generate_ms` counter and the
+ * `sketch.generate` span.
+ */
+std::vector<sketch::SymbolicSchedule>
+generateSketchesTimed(const tir::SubgraphDef &subgraph,
+                      const sketch::GenOptions &options);
+
 /** Common interface of Felix's and Ansor's candidate search. */
 class SearchStrategy
 {
@@ -100,9 +109,6 @@ class SearchStrategy
     /** The symbolic schedules spanning the search space. */
     virtual const std::vector<sketch::SymbolicSchedule> &
     sketches() const = 0;
-
-    /** Concrete features of a candidate (for measurement). */
-    std::vector<double> featuresOf(const Candidate &candidate);
 
     /**
      * Serialize the cross-round state (warm-start seeds, carried
@@ -148,22 +154,6 @@ struct GradSearchOptions
     /** false: skip the log-feature + x = e^y rewrites and optimize
      *  the variables directly in x space. */
     bool applyLogExp = true;
-
-    /** false: per-seed scalar descent and per-candidate scalar
-     *  ranking instead of the lockstep SoA batches. Results are
-     *  bit-identical either way (the parity tests enforce it); the
-     *  scalar path exists as their reference and as the
-     *  microbenchmark baseline. */
-    bool useBatch = true;
-
-    /** false: run the batched descent step through the unfused
-     *  forwardBatch / predictTransformedWithGradBatch /
-     *  backwardBatch sequence with its materialized feature
-     *  round-trips instead of costmodel::FusedGradStep. Results are
-     *  bit-identical either way (the parity tests enforce it); the
-     *  unfused path exists as the reference and as the
-     *  microbenchmark baseline. Only meaningful with useBatch. */
-    bool useFused = true;
 };
 
 /** Felix's gradient-descent schedule search for one subgraph. */

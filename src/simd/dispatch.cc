@@ -5,18 +5,15 @@
  * Backends present in the binary are declared by the FELIX_HAVE_*
  * macros CMake defines alongside the backend translation units
  * (src/simd/CMakeLists.txt); at first use the widest backend the
- * CPU supports wins. Overrides, strongest first: setPreferredWidth()
- * (felix-tune --simd plumbs into it), then the FELIX_SIMD
- * environment variable ("off" or a width, for ablating prebuilt
- * binaries). The active lane width is published as the `simd.width`
- * gauge.
+ * CPU supports wins. The only override is setPreferredWidth(), the
+ * in-process switch the parity tests and bench_tape use to reach
+ * the other backends. The active lane width is published as the
+ * `simd.width` gauge.
  */
 #include "simd/kernels.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 
 #include "obs/metrics.h"
 #include "support/logging.h"
@@ -82,7 +79,6 @@ const KernelSet *const kCompiledSets[] = {
 std::atomic<const KernelSet *> g_active{nullptr};
 std::mutex g_mutex;     // serializes resolution + overrides
 int g_override = 0;     // 0 = auto; else a forced width
-bool g_envChecked = false;
 
 const KernelSet *
 findWidth(int width)
@@ -113,24 +109,10 @@ publish(const KernelSet *set)
            set->width, " lanes/vector)");
 }
 
-/** Resolve under g_mutex: override > FELIX_SIMD env > widest. */
+/** Resolve under g_mutex: override > widest. */
 const KernelSet *
 resolveLocked()
 {
-    if (g_override == 0 && !g_envChecked) {
-        g_envChecked = true;
-        if (const char *env = std::getenv("FELIX_SIMD")) {
-            const std::string value(env);
-            const int width =
-                value == "off" ? 1 : std::atoi(value.c_str());
-            if (findWidth(width)) {
-                g_override = width;
-            } else {
-                warn("simd: ignoring FELIX_SIMD='", value,
-                     "' (not an available width)");
-            }
-        }
-    }
     if (g_override != 0) {
         if (const KernelSet *set = findWidth(g_override))
             return set;
@@ -162,7 +144,6 @@ setPreferredWidth(int width)
     if (width != 0 && findWidth(width) == nullptr)
         return false;
     g_override = width;
-    g_envChecked = true; // an explicit override outranks the env
     publish(resolveLocked());
     return true;
 }

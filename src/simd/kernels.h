@@ -9,9 +9,9 @@
  * (src/simd/kernels_impl.h) instantiated against one vector type
  * from support/simd.h and compiled in its own translation unit with
  * the matching -m flags. Dispatch picks the widest backend the CPU
- * supports at first use (overridable: setPreferredWidth(), the
- * FELIX_SIMD environment variable, felix-tune --simd) and publishes
- * the active lane width as the `simd.width` gauge. Because each
+ * supports at first use and publishes the active lane width as the
+ * `simd.width` gauge; setPreferredWidth() lets tests and benches
+ * reach the other backends in-process. Because each
  * lane executes the identical scalar operation sequence at every
  * width (see support/simd.h), switching backends never changes a
  * bit of any result — tests/test_simd.cc enforces exactly that.
@@ -71,9 +71,9 @@ struct KernelSet
 /**
  * The backend the hot paths should call through. Resolved on first
  * use: widest compiled-in backend the CPU reports support for,
- * unless overridden by setPreferredWidth() or FELIX_SIMD
- * ("off" or a width). Cheap (one relaxed atomic load) — but hot
- * loops should still hoist the reference out of per-row loops.
+ * unless overridden by setPreferredWidth(). Cheap (one relaxed
+ * atomic load) — but hot loops should still hoist the reference out
+ * of per-row loops.
  */
 const KernelSet &activeKernels();
 
@@ -82,7 +82,8 @@ const KernelSet &activeKernels();
  * scalar fallback, 2/4/8 select SSE2/NEON, AVX2, AVX-512. Returns
  * false (and changes nothing) if that width is not compiled in or
  * the CPU lacks it. Not synchronized against kernels already
- * running — switch between batches, not during one.
+ * running — switch between batches, not during one. The parity
+ * tests and bench_tape use it; no user setting reaches it.
  */
 bool setPreferredWidth(int width);
 

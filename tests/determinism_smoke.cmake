@@ -1,9 +1,6 @@
-# Determinism smoke test (ctest): one tuning session run three
-# times — --jobs 1, --jobs 4, and --jobs 4 --no-jit — must be
-# bit-identical in everything except wall-clock time. The --no-jit
-# run doubles as the end-to-end fallback check for the copy-and-patch
-# tape JIT: the batched interpreter must reproduce the JIT'd descent
-# byte for byte (docs/tape_engine.md).
+# Determinism smoke test (ctest): one tuning session run twice —
+# --jobs 1 and --jobs 4 — must be bit-identical in everything except
+# wall-clock time.
 #
 # Invoked as
 #   cmake -DFELIX_TUNE=... -DWORK_DIR=... -DCACHE_DIR=...
@@ -12,7 +9,7 @@
 # Steps:
 #   1. felix-tune --network dcgan --budget 10 with --jobs 1, saving
 #      the best schedules (--out) and round records (--metrics-out).
-#   2. Same command with --jobs 4, and again with --jobs 4 --no-jit.
+#   2. Same command with --jobs 4.
 #   3. The schedule files must compare byte-equal.
 #   4. The round-record JSONL must compare equal after normalizing
 #      the only wall-clock-dependent parts: every "wall_ms" value and
@@ -47,10 +44,9 @@ endfunction()
 
 run_tune(j1 --jobs 1)
 run_tune(j4 --jobs 4)
-run_tune(j4nojit --jobs 4 --no-jit)
 
 # Best schedules must match byte for byte.
-foreach(other j4 j4nojit)
+foreach(other j4)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
             "${WORK_DIR}/best_j1.cfg" "${WORK_DIR}/best_${other}.cfg"
@@ -73,7 +69,7 @@ function(normalized_metrics path out_var)
 endfunction()
 
 normalized_metrics("${WORK_DIR}/metrics_j1.jsonl" metrics1)
-foreach(other j4 j4nojit)
+foreach(other j4)
     normalized_metrics("${WORK_DIR}/metrics_${other}.jsonl" metricsB)
     if(NOT metrics1 STREQUAL metricsB)
         message(FATAL_ERROR
@@ -87,4 +83,4 @@ if(metrics1 STREQUAL "")
 endif()
 
 message(STATUS
-    "determinism smoke OK: --jobs 1 == --jobs 4 == --no-jit")
+    "determinism smoke OK: --jobs 1 == --jobs 4")

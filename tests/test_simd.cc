@@ -4,8 +4,9 @@
  * backend compiled in AND supported by this CPU must produce
  * bit-identical results to the scalar fallback on every hot kernel —
  * tape forward/backward at every ragged batch width, the batched MLP
- * forward / input-gradient / training paths, the Adam update, and a
- * full gradient-search round. Also pins the dispatch semantics
+ * forward / input-gradient / training paths, the Adam update, the
+ * fused surrogate gradient step against the unfused engine sequence,
+ * and a full gradient-search round. Also pins the dispatch semantics
  * (availableWidths / setPreferredWidth / simd.width gauge) and
  * carries the FMA-contraction canary that fails if the build ever
  * drops -ffp-contract=off on an FMA-capable target (see the note in
@@ -21,6 +22,7 @@
 
 #include "costmodel/cost_model.h"
 #include "costmodel/dataset.h"
+#include "costmodel/fused.h"
 #include "costmodel/mlp.h"
 #include "expr/compiled.h"
 #include "obs/metrics.h"
@@ -392,6 +394,103 @@ TEST(SimdParity, AdamStepEveryBackendBitExact)
 }
 
 // ---------------------------------------------------------------
+// Fused step vs the unfused reference sequence: same tape, same
+// model, every backend, every ragged width. The tape has deliberate
+// penalty outputs so the conditional penalty seeding is exercised.
+// ---------------------------------------------------------------
+
+TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
+{
+    using expr::CompiledExprs;
+    using expr::Expr;
+    constexpr size_t L = kBatchLanes;
+    constexpr size_t kFeatures = 5;
+    constexpr size_t kPenalties = 2;
+    Rng rng(1618);
+    const std::vector<std::string> vars = {"p", "q", "r"};
+
+    std::vector<Expr> roots;
+    for (size_t k = 0; k < kFeatures + kPenalties; ++k)
+        roots.push_back(randomExpr(rng, vars, 4));
+    CompiledExprs compiled(roots, vars);
+    const size_t numVars = compiled.numVars();
+
+    // A small fitted model over kFeatures inputs.
+    std::vector<costmodel::Sample> samples(32);
+    for (auto &sample : samples) {
+        sample.rawFeatures.resize(kFeatures);
+        for (double &v : sample.rawFeatures)
+            v = rng.uniform(0.0, 1e4);
+        sample.latencySec = rng.uniform(1e-5, 1e-2);
+    }
+    costmodel::MlpConfig config;
+    config.layerSizes = {static_cast<int>(kFeatures), 8, 1};
+    costmodel::CostModel model(config, 9);
+    model.fit(samples, /*epochs=*/2, /*batch_size=*/16, 1e-3);
+
+    const double lambda = 10.0;
+    costmodel::FusedGradStep fused(compiled, model, kFeatures,
+                                   kPenalties, lambda);
+
+    const std::vector<int> widths = availableWidths();
+    WidthGuard restore(0);
+    for (int w : widths) {
+        ASSERT_TRUE(setPreferredWidth(w));
+        for (size_t width = 1; width <= L; ++width) {
+            std::vector<double> inputs(numVars * L);
+            for (double &v : inputs)
+                v = rng.uniform(-2.0, 2.0);
+
+            // Unfused reference: the public batched entry points in
+            // the order FusedGradStep chains them.
+            expr::BatchEvalState refState;
+            costmodel::PredictScratch refPredict;
+            std::vector<double> outputs((kFeatures + kPenalties) * L);
+            std::vector<double> outputGrads(outputs.size(), 0.0);
+            std::vector<double> modelGrads(kFeatures * L);
+            std::vector<double> refGrads(numVars * L);
+            double refScores[kBatchLanes];
+            compiled.forwardBatch(inputs.data(), width,
+                                  outputs.data(), refState);
+            model.predictTransformedWithGradBatch(
+                outputs.data(), refScores, modelGrads.data(),
+                refPredict);
+            for (size_t k = 0; k < kFeatures; ++k)
+                for (size_t l = 0; l < width; ++l)
+                    outputGrads[k * L + l] = -modelGrads[k * L + l];
+            for (size_t p = 0; p < kPenalties; ++p) {
+                const size_t row = (kFeatures + p) * L;
+                for (size_t l = 0; l < width; ++l) {
+                    const double g = outputs[row + l];
+                    if (g > 0.0)
+                        outputGrads[row + l] = lambda * 2.0 * g;
+                }
+            }
+            compiled.backwardBatch(outputGrads.data(),
+                                   refGrads.data(), refState);
+
+            expr::BatchEvalState fusedState;
+            costmodel::PredictScratch fusedPredict;
+            std::vector<double> fusedGrads(numVars * L);
+            double fusedScores[kBatchLanes];
+            fused.run(inputs.data(), width, fusedScores,
+                      fusedGrads.data(), fusedState, fusedPredict);
+
+            for (size_t l = 0; l < width; ++l) {
+                EXPECT_BITEQ(fusedScores[l], refScores[l])
+                    << "backend " << activeBackendName() << " width "
+                    << width << " lane " << l;
+                for (size_t v = 0; v < numVars; ++v)
+                    EXPECT_BITEQ(fusedGrads[v * L + l],
+                                 refGrads[v * L + l])
+                        << "backend " << activeBackendName()
+                        << " width " << width << " lane " << l;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------
 // End to end: a full batched gradient-search round — feature tapes,
 // cost-model MLP, Adam steps, candidate ranking — on the scalar
 // fallback vs. the widest vector backend, bit for bit.
@@ -422,7 +521,6 @@ TEST(SimdParity, SearchRoundScalarVsWidestBitExact)
     options.nSeeds = 5;   // deliberately not a multiple of the lanes
     options.nSteps = 25;
     options.nMeasure = 6;
-    options.useBatch = true;
 
     ASSERT_TRUE(setPreferredWidth(1));
     optim::GradientSearch searchScalar(subgraph, options);

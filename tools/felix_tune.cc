@@ -17,14 +17,12 @@
 
 #include "core/felix.h"
 #include "frameworks/frameworks.h"
-#include "jit/jit.h"
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "obs/round_log.h"
 #include "obs/trace.h"
 #include "shard/merge.h"
 #include "shard/shard.h"
-#include "simd/kernels.h"
 #include "sketch/sketch.h"
 #include "support/logging.h"
 #include "support/parallel.h"
@@ -62,20 +60,6 @@ usage()
         "                      (open in chrome://tracing / Perfetto)\n"
         "  --metrics-out FILE  write per-round telemetry records plus\n"
         "                      a final metrics snapshot as JSONL\n"
-        "  --no-batch  evaluate gradient-search points one at a\n"
-        "              time instead of in SoA batches (debugging;\n"
-        "              results are bit-identical either way)\n"
-        "  --simd W    SIMD backend for the batched kernels: a\n"
-        "              vector width (1 | 2 | 4 | 8) or 'off' for\n"
-        "              the scalar fallback (default: widest the CPU\n"
-        "              supports; also via FELIX_SIMD). Results are\n"
-        "              bit-identical at every width\n"
-        "  --no-jit    run the descent tapes through the batched\n"
-        "              interpreter instead of the copy-and-patch\n"
-        "              JIT (also via FELIX_JIT=off). Results are\n"
-        "              bit-identical either way\n"
-        "  --jit       force the JIT on, overriding FELIX_JIT=off\n"
-        "              (no-op where unsupported: non-x86 or no AVX2)\n"
         "  --log-level L       debug | info | warn | error\n"
         "                      (also via FELIX_LOG_LEVEL)\n"
         "  --cache-dir DIR     pretrained cost-model cache directory\n"
@@ -130,7 +114,6 @@ main(int argc, char **argv)
     int jobs = 0;
     bool compareFrameworks = false;
     int showSchedules = 0;
-    bool useBatch = true;
     std::string logPath, traceOut, metricsOut;
     std::string saveRecords, replayRecords;
     std::string cacheDir = "pretrained";
@@ -199,24 +182,6 @@ main(int argc, char **argv)
             killAtRound = std::atoi(next().c_str());
         else if (arg == "--merge")
             merge = true;
-        else if (arg == "--no-batch")
-            useBatch = false;
-        else if (arg == "--no-jit")
-            jit::setEnabled(false);
-        else if (arg == "--jit")
-            jit::setEnabled(true);
-        else if (arg == "--simd") {
-            std::string value = next();
-            int width = value == "off" ? 1 : std::atoi(value.c_str());
-            if (width < 1 || !simd::setPreferredWidth(width)) {
-                std::string widths;
-                for (int w : simd::availableWidths())
-                    widths += (widths.empty() ? "" : " | ") +
-                              std::to_string(w);
-                fatal("bad --simd '" + value + "' (this build: " +
-                      widths + " | off)");
-            }
-        }
         else if (arg == "--log-level") {
             std::string name = next();
             auto level = parseLogLevel(name);
@@ -282,7 +247,6 @@ main(int argc, char **argv)
         shardOptions.strategy =
             (strategy == "ansor") ? tuner::StrategyKind::AnsorTenSet
                                   : tuner::StrategyKind::FelixGradient;
-        shardOptions.grad.useBatch = useBatch;
         shardOptions.dir = shardDir;
         shardOptions.checkpoint = checkpoint;
         shardOptions.resume = resume;
@@ -343,7 +307,6 @@ main(int argc, char **argv)
     options.tuner.numThreads = jobs;
     options.tuner.recordLogPath = logPath;
     options.tuner.roundLogPath = metricsOut;
-    options.tuner.grad.useBatch = useBatch;
     options.tuner.strategy = (strategy == "ansor")
                                  ? tuner::StrategyKind::AnsorTenSet
                                  : tuner::StrategyKind::FelixGradient;
