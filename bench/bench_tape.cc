@@ -4,7 +4,8 @@
  * production feature tape (a dense-matmul sketch's 82 feature
  * formulas), scalar vs. batched SoA, forward-only and
  * forward+backward, plus the batched MLP kernels the points feed and
- * the Adam parameter update, and the end-to-end surrogate descent
+ * the Adam parameter update, one cost-model fine-tune step at the
+ * batch sizes a round trains on, and the end-to-end surrogate descent
  * step (grad_search_step: scalar reference, unfused batch, and the
  * fused step production runs). Every batched benchmark runs once per
  * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
@@ -277,6 +278,45 @@ BM_MlpInputGradBatch(benchmark::State &state)
 }
 
 /**
+ * One cost-model fine-tune step at production shape: Mlp::trainBatch
+ * on the default network over @p batch samples. A Felix round trains
+ * 16 such steps on 80 samples (16 fresh + 64 replayed), an Ansor
+ * round on 128 (64 + 64). Counter samples_per_sec.
+ */
+void
+finetuneImpl(benchmark::State &state, size_t batch)
+{
+    Rng rng(17);
+    costmodel::MlpConfig config;   // default 82-input network
+    costmodel::Mlp mlp(config, rng);
+    std::vector<std::vector<double>> xs(batch, std::vector<double>(82));
+    std::vector<double> ys(batch);
+    for (std::vector<double> &x : xs)
+        for (double &v : x)
+            v = rng.uniform(-2.0, 2.0);
+    for (double &y : ys)
+        y = rng.uniform(-1.0, 1.0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mlp.trainBatch(xs, ys, 2e-4));
+    state.counters["samples_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(batch),
+        benchmark::Counter::kIsRate);
+}
+
+void
+BM_FinetuneFelix(benchmark::State &state)
+{
+    finetuneImpl(state, 80);
+}
+
+void
+BM_FinetuneAnsor(benchmark::State &state)
+{
+    finetuneImpl(state, 128);
+}
+
+/**
  * A quickly fitted cost model for the end-to-end step benchmarks.
  * The weights' values don't matter for throughput; what matters is
  * that the scaler is fitted for 82 features so the production
@@ -520,6 +560,8 @@ main(int argc, char **argv)
     registerWidthVariants("mlp_input_grad/batch",
                           BM_MlpInputGradBatch);
     registerWidthVariants("adam_step", BM_AdamStep);
+    registerWidthVariants("finetune/80", BM_FinetuneFelix);
+    registerWidthVariants("finetune/128", BM_FinetuneAnsor);
     registerScalarEngine("grad_search_step/scalar",
                          BM_GradSearchStepScalar);
     registerWidthVariants("grad_search_step/batch",

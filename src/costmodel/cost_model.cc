@@ -61,7 +61,7 @@ Scaler::save(std::ostream &os) const
     os << "\n";
 }
 
-Scaler
+std::optional<Scaler>
 Scaler::load(std::istream &is, size_t size)
 {
     Scaler scaler;
@@ -71,7 +71,12 @@ Scaler::load(std::istream &is, size_t size)
         is >> m;
     for (double &s : scaler.std_)
         is >> s;
-    FELIX_CHECK(static_cast<bool>(is), "truncated scaler");
+    if (!is)
+        return std::nullopt;
+    for (double s : scaler.std_) {
+        if (!(s > 0.0))
+            return std::nullopt;
+    }
     return scaler;
 }
 
@@ -318,28 +323,46 @@ CostModel::save(const std::string &path) const
     os << targetMean_ << "\n";
 }
 
+namespace {
+
+/** Count and report a cost-model file or state that does not parse. */
+std::nullopt_t
+rejected(const std::string &what, const char *reason)
+{
+    obs::MetricsRegistry::instance()
+        .counter("costmodel.load_rejected")
+        .add(1.0);
+    warn("rejecting cost model ", what, ": ", reason);
+    return std::nullopt;
+}
+
+} // namespace
+
 std::optional<CostModel>
 CostModel::tryLoad(const std::string &path)
 {
     std::ifstream is(path);
     if (!is.good())
-        return std::nullopt;
+        return std::nullopt;   // a cache miss, not a rejection
     std::string word1, word2;
     is >> word1 >> word2;
     if (word1 != "felix-cost-model" || word2 != "v1")
-        return std::nullopt;
-    Mlp mlp = Mlp::load(is);
+        return rejected(path, "not a felix-cost-model v1 file");
+    std::optional<Mlp> mlp = Mlp::read(is, /*full=*/false);
+    if (!mlp)
+        return rejected(path, "bad or truncated network");
     size_t scalerSize = 0;
-    is >> scalerSize;
-    Scaler scaler = Scaler::load(is, scalerSize);
+    if (!(is >> scalerSize) ||
+        scalerSize != static_cast<size_t>(mlp->inputSize()))
+        return rejected(path, "scaler size is not the network input size");
+    std::optional<Scaler> scaler = Scaler::load(is, scalerSize);
     double targetMean = 0.0;
-    is >> targetMean;
-    if (!is)
-        return std::nullopt;
+    if (!scaler || !(is >> targetMean))
+        return rejected(path, "bad or truncated scaler");
 
     CostModel model;
-    model.mlp_ = std::move(mlp);
-    model.scaler_ = std::move(scaler);
+    model.mlp_ = std::move(*mlp);
+    model.scaler_ = std::move(*scaler);
     model.targetMean_ = targetMean;
     return model;
 }
@@ -362,23 +385,33 @@ CostModel::saveState(std::ostream &os) const
 std::optional<CostModel>
 CostModel::loadState(std::istream &is)
 {
+    const std::string what = "state";
     std::string word1, word2;
     is >> word1 >> word2;
     if (word1 != "felix-cost-model-state" || word2 != "v1")
-        return std::nullopt;
-    Mlp mlp = Mlp::loadFull(is);
+        return rejected(what, "not a felix-cost-model-state v1 blob");
+    std::optional<Mlp> mlp = Mlp::read(is, /*full=*/true);
+    if (!mlp)
+        return rejected(what, "bad or truncated network");
+    // 0 marks a model that was never fitted.
     size_t scalerSize = 0;
-    is >> scalerSize;
+    if (!(is >> scalerSize) ||
+        (scalerSize != 0 &&
+         scalerSize != static_cast<size_t>(mlp->inputSize())))
+        return rejected(what, "scaler size is not the network input size");
     Scaler scaler;
-    if (scalerSize > 0)
-        scaler = Scaler::load(is, scalerSize);
+    if (scalerSize > 0) {
+        std::optional<Scaler> fitted = Scaler::load(is, scalerSize);
+        if (!fitted)
+            return rejected(what, "bad or truncated scaler");
+        scaler = std::move(*fitted);
+    }
     double targetMean = 0.0;
-    is >> targetMean;
-    if (!is)
-        return std::nullopt;
+    if (!(is >> targetMean))
+        return rejected(what, "truncated target mean");
 
     CostModel model;
-    model.mlp_ = std::move(mlp);
+    model.mlp_ = std::move(*mlp);
     model.scaler_ = std::move(scaler);
     model.targetMean_ = targetMean;
     return model;

@@ -41,7 +41,9 @@ class Scaler
     bool fitted() const { return !mean_.empty(); }
 
     void save(std::ostream &os) const;
-    static Scaler load(std::istream &is, size_t size);
+    /** Read @p size means and stddevs; nullopt when the text is
+     *  truncated or a stddev is not positive. */
+    static std::optional<Scaler> load(std::istream &is, size_t size);
 
   private:
     std::vector<double> mean_, std_;
@@ -142,6 +144,13 @@ class CostModel
     ModelMetrics validate(const std::vector<Sample> &samples) const;
 
     void save(const std::string &path) const;
+    /**
+     * Load a save() file. nullopt when the file is missing, and also
+     * when it is malformed or truncated, declares an out-of-bounds
+     * network, or pairs a network with a scaler of another input
+     * size; those rejections are counted in costmodel.load_rejected
+     * and logged with the path.
+     */
     static std::optional<CostModel> tryLoad(const std::string &path);
 
     /**
@@ -149,7 +158,8 @@ class CostModel
      * target centering) to/from a stream, so a checkpointed tuner
      * resumes fine-tuning bit-identically to an uninterrupted run.
      * save()/tryLoad() stay the inference-oriented pretrained-cache
-     * format; this is the checkpoint payload format.
+     * format; this is the checkpoint payload format. loadState()
+     * rejects garbage the way tryLoad() does, with nullopt.
      */
     void saveState(std::ostream &os) const;
     static std::optional<CostModel> loadState(std::istream &is);

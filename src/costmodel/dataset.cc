@@ -4,6 +4,7 @@
 
 #include "expr/compiled.h"
 #include "features/features.h"
+#include "obs/metrics.h"
 #include "sim/gpu_model.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
@@ -197,7 +198,14 @@ pretrainedCostModel(sim::DeviceKind device, const std::string &cache_dir,
     }
     std::string path = cache_dir + "/cost_model_" + tag + ".txt";
     if (auto cached = CostModel::tryLoad(path)) {
-        return std::move(*cached);
+        if (cached->mlp().inputSize() == features::kNumFeatures)
+            return std::move(*cached);
+        obs::MetricsRegistry::instance()
+            .counter("costmodel.load_rejected")
+            .add(1.0);
+        warn("rejecting cost model ", path, ": ",
+             cached->mlp().inputSize(), " inputs, not ",
+             features::kNumFeatures);
     }
     inform("pretraining cost model for ", deviceKindName(device),
            " (cache miss at ", path, ")");

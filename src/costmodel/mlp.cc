@@ -305,133 +305,184 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
 {
     FELIX_CHECK(!xs.empty() && xs.size() == ys.size(),
                 "trainBatch: bad batch");
+    for (const std::vector<double> &x : xs)
+        FELIX_CHECK(static_cast<int>(x.size()) == inputSize(),
+                    "trainBatch: wrong input size");
     {
         auto &registry = obs::MetricsRegistry::instance();
         registry.counter("costmodel.train_batches").add(1.0);
         registry.counter("costmodel.train_samples")
             .add(static_cast<double>(xs.size()));
     }
-    const double invBatch = 1.0 / static_cast<double>(xs.size());
+    constexpr size_t L = kBatchLanes;
+    const size_t batch = xs.size();
+    const size_t numLayers = layers_.size();
+    const double invBatch = 1.0 / static_cast<double>(batch);
 
-    // Per-sample gradients accumulate into per-chunk partials with a
-    // FIXED chunk size, then reduce in chunk order on this thread —
-    // the floating-point summation order depends only on the batch,
-    // never on --jobs, so training is bit-identical at any pool size.
+    // The gradient is summed over each chunk's samples in order, then
+    // over the chunks in chunk order. kChunk fixes that summation
+    // order, so it is 16 at every kBatchLanes (one tile at 16 lanes,
+    // two at 8, half of one at 32) and the chunk boundaries never
+    // depend on --jobs: training is bit-identical at any pool size.
     constexpr size_t kChunk = 16;
-    const size_t numChunks = (xs.size() + kChunk - 1) / kChunk;
-    struct ChunkGrads
-    {
-        std::vector<std::vector<double>> gWeight, gBias;
-        double loss = 0.0;
-    };
-    std::vector<ChunkGrads> chunkGrads(numChunks);
+    const size_t numChunks = (batch + kChunk - 1) / kChunk;
 
+    // What phase 2 needs from a chunk, per layer: the masked adjoint
+    // rows (out x kChunk, samples in order) and the layer inputs
+    // lane-major (kChunk x in).
+    std::vector<size_t> adjAt(numLayers), inAt(numLayers);
+    size_t chunkDoubles = 0;
+    for (size_t li = 0; li < numLayers; ++li) {
+        adjAt[li] = chunkDoubles;
+        chunkDoubles += static_cast<size_t>(layers_[li].out) * kChunk;
+        inAt[li] = chunkDoubles;
+        chunkDoubles += static_cast<size_t>(layers_[li].in) * kChunk;
+    }
+    std::vector<double> record(numChunks * chunkDoubles);
+    std::vector<double> chunkLoss(numChunks);
+
+    // The input gradient of a layer is a layer itself: prev = W^T
+    // madj, which the forward kernel evaluates over the transposed
+    // weights with a zero bias. Per lane it adds w[o][i] * madj[o]
+    // in ascending o from +0.0, the scalar backward's order, and a
+    // closed gate's exact 0.0 adds +/-0.0 to an accumulator that can
+    // never hold -0.0 (the argument in forwardInputGradStaged).
+    // Measured faster than the blocked backward kernel at every
+    // width. Nothing reads layer 0's input gradient.
+    std::vector<std::vector<double>> transposed(numLayers);
+    size_t widestIn = 0;
+    for (size_t li = 1; li < numLayers; ++li) {
+        const Layer &layer = layers_[li];
+        const size_t in = static_cast<size_t>(layer.in);
+        const size_t out = static_cast<size_t>(layer.out);
+        transposed[li].resize(layer.weight.size());
+        for (size_t o = 0; o < out; ++o)
+            for (size_t i = 0; i < in; ++i)
+                transposed[li][i * out + o] = layer.weight[o * in + i];
+        widestIn = std::max(widestIn, in);
+    }
+    const std::vector<double> zeroBias(widestIn, 0.0);
+
+    // Phase 1, one item per chunk: the batched layer kernels over SoA
+    // tiles whose lanes are samples. Spare lanes hold zero inputs and
+    // a zero adjoint, and are not recorded. Per lane every sweep is
+    // the scalar per-sample sequence.
     parallelForChunks(
-        "costmodel.train_chunk", xs.size(), kChunk,
+        "costmodel.train_chunk", batch, kChunk,
         [&](size_t begin, size_t end) {
-            ChunkGrads &chunk = chunkGrads[begin / kChunk];
-            chunk.gWeight.resize(layers_.size());
-            chunk.gBias.resize(layers_.size());
-            for (size_t li = 0; li < layers_.size(); ++li) {
-                chunk.gWeight[li].assign(layers_[li].weight.size(),
-                                         0.0);
-                chunk.gBias[li].assign(layers_[li].bias.size(), 0.0);
-            }
-            std::vector<std::vector<double>> acts;
-            for (size_t si = begin; si < end; ++si) {
-                // Forward with stored activations.
-                acts.clear();
-                acts.push_back(xs[si]);
-                for (size_t li = 0; li < layers_.size(); ++li) {
-                    const Layer &layer = layers_[li];
-                    std::vector<double> out(layer.out, 0.0);
-                    const std::vector<double> &cur = acts.back();
-                    for (int o = 0; o < layer.out; ++o) {
-                        double acc = layer.bias[o];
-                        const double *row =
-                            layer.weight.data() +
-                            static_cast<size_t>(o) * layer.in;
-                        for (int i = 0; i < layer.in; ++i)
-                            acc += row[i] * cur[i];
-                        if (li + 1 < layers_.size() && acc < 0.0)
-                            acc = 0.0;
-                        out[o] = acc;
-                    }
-                    acts.push_back(std::move(out));
-                }
-                const double pred = acts.back()[0];
-                const double err = pred - ys[si];
-                chunk.loss += err * err;
+            const size_t chunk = begin / kChunk;
+            double *rec = record.data() + chunk * chunkDoubles;
+            MlpBatchScratch tile;
+            std::vector<AlignedRows> &acts = tile.acts;
+            acts.resize(numLayers + 1);
+            double loss = 0.0;
+            for (size_t first = begin; first < end; first += L) {
+                const size_t lanes = std::min(L, end - first);
+                const size_t at = first - begin;   // chunk position
+                acts[0].assign(static_cast<size_t>(inputSize()) * L,
+                               0.0);
+                for (size_t l = 0; l < lanes; ++l)
+                    for (int i = 0; i < inputSize(); ++i)
+                        acts[0][static_cast<size_t>(i) * L + l] =
+                            xs[first + l][static_cast<size_t>(i)];
+                for (size_t li = 0; li < numLayers; ++li)
+                    forwardLayerBatch(layers_[li], li + 1 < numLayers,
+                                      acts[li], acts[li + 1]);
 
-                // Backward.
-                std::vector<double> adj = {2.0 * err * invBatch};
-                for (size_t li = layers_.size(); li-- > 0;) {
+                // Head adjoint d(loss)/d(prediction) = 2 err / B.
+                tile.adj.assign(L, 0.0);
+                for (size_t l = 0; l < lanes; ++l) {
+                    const double err = acts.back()[l] - ys[first + l];
+                    loss += err * err;
+                    tile.adj[l] = 2.0 * err * invBatch;
+                }
+                const simd::KernelSet &kernels = simd::activeKernels();
+                for (size_t li = numLayers; li-- > 0;) {
                     const Layer &layer = layers_[li];
-                    const std::vector<double> &out = acts[li + 1];
-                    const std::vector<double> &in = acts[li];
-                    std::vector<double> prev(layer.in, 0.0);
-                    for (int o = 0; o < layer.out; ++o) {
-                        if (li + 1 < layers_.size() && out[o] <= 0.0)
-                            continue;
-                        const double a = adj[o];
-                        double *gw =
-                            chunk.gWeight[li].data() +
-                            static_cast<size_t>(o) * layer.in;
-                        const double *row =
-                            layer.weight.data() +
-                            static_cast<size_t>(o) * layer.in;
-                        for (int i = 0; i < layer.in; ++i) {
-                            gw[i] += a * in[i];
-                            prev[i] += a * row[i];
-                        }
-                        chunk.gBias[li][o] += a;
-                    }
-                    adj.swap(prev);
+                    const size_t in = static_cast<size_t>(layer.in);
+                    const size_t out = static_cast<size_t>(layer.out);
+                    // With no inputs the backward kernel only masks:
+                    // madj = open gate ? adj : +0.0.
+                    tile.madj.resize(out * L);
+                    kernels.mlpBackwardLayer(
+                        layer.weight.data(), 0, layer.out,
+                        li + 1 < numLayers, acts[li + 1].data(),
+                        tile.adj.data(), tile.madj.data(), nullptr);
+                    double *adjRec = rec + adjAt[li] + at;
+                    for (size_t o = 0; o < out; ++o)
+                        for (size_t l = 0; l < lanes; ++l)
+                            adjRec[o * kChunk + l] =
+                                tile.madj[o * L + l];
+                    double *inRec = rec + inAt[li] + at * in;
+                    for (size_t i = 0; i < in; ++i)
+                        for (size_t l = 0; l < lanes; ++l)
+                            inRec[l * in + i] = acts[li][i * L + l];
+                    if (li == 0)
+                        break;
+                    tile.prev.resize(in * L);
+                    kernels.mlpForwardLayer(
+                        transposed[li].data(), zeroBias.data(),
+                        layer.out, layer.in, /*hidden=*/false,
+                        tile.madj.data(), tile.prev.data());
+                    tile.adj.swap(tile.prev);
                 }
             }
+            chunkLoss[chunk] = loss;
         });
 
-    // Deterministic chunk-order reduction.
-    std::vector<std::vector<double>> gWeight(layers_.size());
-    std::vector<std::vector<double>> gBias(layers_.size());
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        gWeight[li].assign(layers_[li].weight.size(), 0.0);
-        gBias[li].assign(layers_[li].bias.size(), 0.0);
-    }
-    double loss = 0.0;
-    for (const ChunkGrads &chunk : chunkGrads) {
-        loss += chunk.loss;
-        for (size_t li = 0; li < layers_.size(); ++li) {
-            for (size_t i = 0; i < gWeight[li].size(); ++i)
-                gWeight[li][i] += chunk.gWeight[li][i];
-            for (size_t i = 0; i < gBias[li].size(); ++i)
-                gBias[li][i] += chunk.gBias[li][i];
-        }
-    }
+    // Phase 2, one item per (layer, block of output rows): sum the
+    // rows' gradient over the chunks in chunk order into a zero total
+    // (mlpWeightGrad), then apply Adam to those rows. Every parameter
+    // is independent here, so the blocking changes no bit.
+    constexpr int kRowBlock = 32;
+    struct RowBlock
+    {
+        size_t layer;
+        int begin, end;
+    };
+    std::vector<RowBlock> blocks;
+    for (size_t li = 0; li < numLayers; ++li)
+        for (int r = 0; r < layers_[li].out; r += kRowBlock)
+            blocks.push_back(
+                {li, r, std::min(layers_[li].out, r + kRowBlock)});
 
-    // Adam update.
     ++adamStep_;
     const double b1 = config_.adamBeta1, b2 = config_.adamBeta2;
     const double corr1 = 1.0 - std::pow(b1, adamStep_);
     const double corr2 = 1.0 - std::pow(b2, adamStep_);
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        Layer &layer = layers_[li];
-        auto update = [&](std::vector<double> &param,
-                          std::vector<double> &m, std::vector<double> &v,
-                          const std::vector<double> &g) {
-            // Vectorized across the parameter vector; each element's
-            // update is independent and uses the exact scalar
-            // operation order, so any backend is bit-identical.
-            simd::activeKernels().adamStep(
-                param.data(), g.data(), m.data(), v.data(),
-                param.size(), b1, b2, corr1, corr2, lr,
-                config_.adamEps);
-        };
-        update(layer.weight, layer.mWeight, layer.vWeight,
-               gWeight[li]);
-        update(layer.bias, layer.mBias, layer.vBias, gBias[li]);
-    }
-    return loss / static_cast<double>(xs.size());
+    parallelFor("costmodel.train_update", blocks.size(), [&](size_t k) {
+        const RowBlock &block = blocks[k];
+        Layer &layer = layers_[block.layer];
+        const size_t rows = static_cast<size_t>(block.end - block.begin);
+        const size_t row0 = static_cast<size_t>(block.begin);
+        const size_t in = static_cast<size_t>(layer.in);
+        std::vector<double> gWeight(rows * in, 0.0), gBias(rows, 0.0);
+        const simd::KernelSet &kernels = simd::activeKernels();
+        for (size_t chunk = 0; chunk < numChunks; ++chunk) {
+            const double *rec = record.data() + chunk * chunkDoubles;
+            const size_t n = std::min(kChunk, batch - chunk * kChunk);
+            kernels.mlpWeightGrad(rec + adjAt[block.layer] + row0 * kChunk,
+                                  kChunk, rec + inAt[block.layer],
+                                  layer.in, static_cast<int>(rows),
+                                  static_cast<int>(n), gWeight.data(),
+                                  gBias.data());
+        }
+        // Element-wise in the exact scalar operation order, so any
+        // backend and any row range is bit-identical.
+        kernels.adamStep(layer.weight.data() + row0 * in, gWeight.data(),
+                         layer.mWeight.data() + row0 * in,
+                         layer.vWeight.data() + row0 * in, gWeight.size(),
+                         b1, b2, corr1, corr2, lr, config_.adamEps);
+        kernels.adamStep(layer.bias.data() + row0, gBias.data(),
+                         layer.mBias.data() + row0,
+                         layer.vBias.data() + row0, rows, b1, b2, corr1,
+                         corr2, lr, config_.adamEps);
+    });
+
+    double loss = 0.0;
+    for (double chunk : chunkLoss)
+        loss += chunk;
+    return loss / static_cast<double>(batch);
 }
 
 double
@@ -477,18 +528,33 @@ Mlp::save(std::ostream &os) const
     }
 }
 
-Mlp
-Mlp::load(std::istream &is)
+std::optional<Mlp>
+Mlp::read(std::istream &is, bool full)
 {
+    // What a file may declare: the default network has 35k
+    // parameters, TenSet's about 250k.
+    constexpr size_t kMaxLayers = 64;
+    constexpr int kMaxWidth = 1 << 16;
+    constexpr size_t kMaxParams = size_t{1} << 20;
     std::string tag;
     size_t numSizes = 0;
-    is >> tag >> numSizes;
-    FELIX_CHECK(tag == "mlp" && numSizes >= 2 && numSizes < 64,
-                "bad MLP file header");
+    if (!(is >> tag >> numSizes) || tag != "mlp" || numSizes < 2 ||
+        numSizes >= kMaxLayers)
+        return std::nullopt;
     MlpConfig config;
     config.layerSizes.resize(numSizes);
-    for (size_t i = 0; i < numSizes; ++i)
-        is >> config.layerSizes[i];
+    size_t params = 0;
+    for (size_t i = 0; i < numSizes; ++i) {
+        int &size = config.layerSizes[i];
+        if (!(is >> size) || size < 1 || size > kMaxWidth)
+            return std::nullopt;
+        if (i > 0)
+            params += static_cast<size_t>(config.layerSizes[i - 1] + 1) *
+                      static_cast<size_t>(size);
+    }
+    if (config.layerSizes.back() != 1 || params > kMaxParams)
+        return std::nullopt;
+
     Mlp mlp(config);
     for (Layer &layer : mlp.layers_) {
         for (double &w : layer.weight)
@@ -496,8 +562,32 @@ Mlp::load(std::istream &is)
         for (double &b : layer.bias)
             is >> b;
     }
-    FELIX_CHECK(static_cast<bool>(is), "truncated MLP file");
+    if (full) {
+        if (!(is >> tag >> mlp.adamStep_) || tag != "adam" ||
+            mlp.adamStep_ < 0)
+            return std::nullopt;
+        for (Layer &layer : mlp.layers_) {
+            for (double &m : layer.mWeight)
+                is >> m;
+            for (double &v : layer.vWeight)
+                is >> v;
+            for (double &m : layer.mBias)
+                is >> m;
+            for (double &v : layer.vBias)
+                is >> v;
+        }
+    }
+    if (!is)
+        return std::nullopt;
     return mlp;
+}
+
+Mlp
+Mlp::load(std::istream &is)
+{
+    std::optional<Mlp> mlp = read(is, /*full=*/false);
+    FELIX_CHECK(mlp.has_value(), "bad or truncated MLP file");
+    return std::move(*mlp);
 }
 
 void
@@ -528,23 +618,9 @@ Mlp::saveFull(std::ostream &os) const
 Mlp
 Mlp::loadFull(std::istream &is)
 {
-    Mlp mlp = load(is);
-    std::string tag;
-    is >> tag >> mlp.adamStep_;
-    FELIX_CHECK(tag == "adam" && static_cast<bool>(is),
-                "bad MLP checkpoint: missing adam state");
-    for (Layer &layer : mlp.layers_) {
-        for (double &m : layer.mWeight)
-            is >> m;
-        for (double &v : layer.vWeight)
-            is >> v;
-        for (double &m : layer.mBias)
-            is >> m;
-        for (double &v : layer.vBias)
-            is >> v;
-    }
-    FELIX_CHECK(static_cast<bool>(is), "truncated MLP checkpoint");
-    return mlp;
+    std::optional<Mlp> mlp = read(is, /*full=*/true);
+    FELIX_CHECK(mlp.has_value(), "bad or truncated MLP checkpoint");
+    return std::move(*mlp);
 }
 
 } // namespace costmodel

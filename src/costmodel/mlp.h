@@ -16,6 +16,7 @@
 #define FELIX_COSTMODEL_MLP_H_
 
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "support/aligned.h"
@@ -73,9 +74,10 @@ struct MlpConfig
  *
  * forward()/forwardInputGrad() are const and safe to call from many
  * threads at once. trainBatch() mutates parameters (not reentrant)
- * but internally fans the per-sample gradient accumulation out over
- * the global pool in fixed-size chunks, reduced in chunk order, so
- * training results are identical for any --jobs value.
+ * but internally runs on the batched layer kernels in two parallel
+ * phases over the global pool — fixed 16-sample chunks, then blocks
+ * of output rows reduced in chunk order — so training results are
+ * identical for any --jobs value and any SIMD backend.
  */
 class Mlp
 {
@@ -175,7 +177,16 @@ class Mlp
     static Mlp loadFull(std::istream &is);
 
   private:
+    friend class CostModel;
+
     explicit Mlp(MlpConfig config);
+
+    /**
+     * Parse save() text, followed by the Adam state when @p full
+     * (saveFull()). The declared shape is bounded before anything is
+     * allocated; malformed or truncated input yields nullopt.
+     */
+    static std::optional<Mlp> read(std::istream &is, bool full);
 
     struct Layer
     {

@@ -2,7 +2,8 @@
  * @file
  * Runtime-dispatched SIMD kernel table for the hot SoA loops: tape
  * forward/backward (expr/compiled.cc), the blocked batched MLP
- * layer kernels (costmodel/mlp.cc), and the Adam parameter update
+ * layer and weight-gradient kernels (costmodel/mlp.cc), and the Adam
+ * parameter update
  * (optim/adam.cc, costmodel/mlp.cc).
  *
  * Every backend is the SAME templated kernel body
@@ -55,6 +56,16 @@ struct KernelSet
                              bool hidden, const double *out_acts,
                              const double *adj, double *madj,
                              double *prev);
+    /** One training chunk's share of a block of weight-gradient rows
+     *  (Mlp::trainBatch): for every row r < rows and input i, the sum
+     *  over samples s < n of madj[r*madj_stride+s] * x[s*in+i],
+     *  formed from +0.0 in ascending s, is added to gw[r*in+i]; the
+     *  sum of the madj row is added to gb[r] the same way. x holds
+     *  the chunk's layer inputs lane-major (one sample's inputs
+     *  contiguous), so the sweep vectorizes across inputs. */
+    void (*mlpWeightGrad)(const double *madj, std::size_t madj_stride,
+                          const double *x, int in, int rows, int n,
+                          double *gw, double *gb);
 
     /** One Adam update over a flat parameter vector, vectorized with
      *  a scalar ragged tail running the identical formula order. */

@@ -11,8 +11,9 @@
  * (see the vector kernels in expr/op_kernels.h and the blocked-order
  * comments inline). kBatchLanes is statically a multiple of every
  * backend width, so the tape/MLP row loops never carry a ragged
- * tail; the Adam kernel runs over arbitrary-length parameter vectors
- * and finishes the remainder with the identical scalar formula.
+ * tail; the Adam and weight-gradient kernels run over arbitrary
+ * lengths and finish the remainder with the identical scalar
+ * formula.
  */
 #ifndef FELIX_SIMD_KERNELS_IMPL_H_
 #define FELIX_SIMD_KERNELS_IMPL_H_
@@ -195,7 +196,11 @@ tapeBackwardT(const expr::TapeProgram &program, const double *vals,
 
 /** Blocked batched MLP layer forward (Mlp::forwardLayerBatch): four
  *  neurons share each input-row load; per lane the accumulation
- *  order stays bias first, then inputs 0..in-1. */
+ *  order stays bias first, then inputs 0..in-1. A pass covers G of a
+ *  row's C chunks, so at most 4 x 2 accumulators are live at any
+ *  width: narrow backends make more passes instead of spilling a
+ *  4 x C tile to the stack. Lanes are independent, so the passes
+ *  change memory traffic only. */
 template <class V>
 void
 mlpForwardLayerT(const double *weights, const double *bias, int in,
@@ -205,34 +210,38 @@ mlpForwardLayerT(const double *weights, const double *bias, int in,
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
     constexpr std::size_t C = L / W; // chunks per row
+    constexpr std::size_t G = C % 2 == 0 ? 2 : 1; // chunks per pass
     const V zero = V::broadcast(0.0);
     constexpr int kBlock = 4;
     const int fullEnd = out - out % kBlock;
     for (int ob = 0; ob < fullEnd; ob += kBlock) {
-        V acc[kBlock][C];
-        for (int b = 0; b < kBlock; ++b)
-            for (std::size_t ch = 0; ch < C; ++ch)
-                acc[b][ch] = V::broadcast(bias[ob + b]);
-        for (int i = 0; i < in; ++i) {
-            const double *curRow =
-                cur + static_cast<std::size_t>(i) * L;
-            for (int b = 0; b < kBlock; ++b) {
-                const V w = V::broadcast(
-                    weights[static_cast<std::size_t>(ob + b) * in +
-                            i]);
-                for (std::size_t ch = 0; ch < C; ++ch)
-                    acc[b][ch] =
-                        acc[b][ch] + w * V::load(curRow + ch * W);
+        for (std::size_t g = 0; g < C; g += G) {
+            V acc[kBlock][G];
+            for (int b = 0; b < kBlock; ++b)
+                for (std::size_t ch = 0; ch < G; ++ch)
+                    acc[b][ch] = V::broadcast(bias[ob + b]);
+            for (int i = 0; i < in; ++i) {
+                const double *curRow =
+                    cur + static_cast<std::size_t>(i) * L + g * W;
+                for (int b = 0; b < kBlock; ++b) {
+                    const V w = V::broadcast(
+                        weights[static_cast<std::size_t>(ob + b) * in +
+                                i]);
+                    for (std::size_t ch = 0; ch < G; ++ch)
+                        acc[b][ch] =
+                            acc[b][ch] + w * V::load(curRow + ch * W);
+                }
             }
-        }
-        for (int b = 0; b < kBlock; ++b) {
-            double *outRow =
-                out_rows + static_cast<std::size_t>(ob + b) * L;
-            for (std::size_t ch = 0; ch < C; ++ch) {
-                V a = acc[b][ch];
-                if (hidden)
-                    a = select(clt(a, zero), zero, a);
-                a.store(outRow + ch * W);
+            for (int b = 0; b < kBlock; ++b) {
+                double *outRow = out_rows +
+                                 static_cast<std::size_t>(ob + b) * L +
+                                 g * W;
+                for (std::size_t ch = 0; ch < G; ++ch) {
+                    V a = acc[b][ch];
+                    if (hidden)
+                        a = select(clt(a, zero), zero, a);
+                    a.store(outRow + ch * W);
+                }
             }
         }
     }
@@ -309,6 +318,95 @@ mlpBackwardLayerT(const double *weights, int in, int out, bool hidden,
     }
 }
 
+/** An NR-row x NC-vector tile of mlpWeightGradT starting at input i:
+ *  NR*NC independent accumulators, each summing one (row, input
+ *  vector) down the chunk's samples. */
+template <class V, int NR, int NC>
+inline void
+weightGradTileT(const double *madj, std::size_t stride, const double *x,
+                std::size_t in, int n, std::size_t i, double *gw)
+{
+    constexpr std::size_t W = V::kWidth;
+    V acc[NR][NC];
+    for (int r = 0; r < NR; ++r)
+        for (int c = 0; c < NC; ++c)
+            acc[r][c] = V::broadcast(0.0);
+    for (int s = 0; s < n; ++s) {
+        const double *xRow = x + static_cast<std::size_t>(s) * in + i;
+        V xv[NC];
+        for (int c = 0; c < NC; ++c)
+            xv[c] = V::load(xRow + c * W);
+        for (int r = 0; r < NR; ++r) {
+            const V a = V::broadcast(madj[r * stride + s]);
+            for (int c = 0; c < NC; ++c)
+                acc[r][c] = acc[r][c] + a * xv[c];
+        }
+    }
+    for (int r = 0; r < NR; ++r) {
+        for (int c = 0; c < NC; ++c) {
+            double *g = gw + r * in + i + c * W;
+            (V::load(g) + acc[r][c]).store(g);
+        }
+    }
+}
+
+/** NR consecutive rows of mlpWeightGradT: two input vectors at a
+ *  time, then one, then a scalar tail with the same per-element
+ *  sequence (layer widths need not be a multiple of W). */
+template <class V, int NR>
+void
+weightGradRowsT(const double *madj, std::size_t stride, const double *x,
+                std::size_t in, int n, double *gw)
+{
+    constexpr std::size_t W = V::kWidth;
+    std::size_t i = 0;
+    for (; i + 2 * W <= in; i += 2 * W)
+        weightGradTileT<V, NR, 2>(madj, stride, x, in, n, i, gw);
+    for (; i + W <= in; i += W)
+        weightGradTileT<V, NR, 1>(madj, stride, x, in, n, i, gw);
+    for (; i < in; ++i) {
+        for (int r = 0; r < NR; ++r) {
+            double acc = 0.0;
+            for (int s = 0; s < n; ++s)
+                acc = acc + madj[r * stride + s] *
+                                x[static_cast<std::size_t>(s) * in + i];
+            gw[r * in + i] += acc;
+        }
+    }
+}
+
+/** One chunk's share of a block of weight-gradient rows
+ *  (Mlp::trainBatch phase 2). Per (row, input) the chunk partial is
+ *  formed from +0.0 in ascending sample order and then added to the
+ *  running total — the scalar trainer's per-sample accumulation
+ *  followed by its chunk-order reduction, bit for bit. Closed ReLU
+ *  gates arrive as exact 0.0 entries of madj, so they add +/-0.0 to
+ *  an accumulator that can never hold -0.0: a bitwise no-op (the
+ *  argument in mlp.cc). Rows go four at a time so each loaded input
+ *  vector feeds four accumulators. */
+template <class V>
+void
+mlpWeightGradT(const double *madj, std::size_t madj_stride,
+               const double *x, int in, int rows, int n, double *gw,
+               double *gb)
+{
+    const std::size_t inz = static_cast<std::size_t>(in);
+    int r = 0;
+    for (; r + 4 <= rows; r += 4)
+        weightGradRowsT<V, 4>(madj + r * madj_stride, madj_stride, x,
+                              inz, n, gw + r * inz);
+    for (; r < rows; ++r)
+        weightGradRowsT<V, 1>(madj + r * madj_stride, madj_stride, x,
+                              inz, n, gw + r * inz);
+    for (r = 0; r < rows; ++r) {
+        const double *row = madj + r * madj_stride;
+        double acc = 0.0;
+        for (int s = 0; s < n; ++s)
+            acc = acc + row[s];
+        gb[r] += acc;
+    }
+}
+
 /** Adam parameter update (optim/adam.cc formula order), vector body
  *  plus a scalar ragged tail with the identical operation sequence. */
 template <class V>
@@ -375,6 +473,7 @@ makeKernelSet(const char *name)
                      &tapeBackwardT<V>,
                      &mlpForwardLayerT<V>,
                      &mlpBackwardLayerT<V>,
+                     &mlpWeightGradT<V>,
                      &adamStepT<V>,
                      &probeMulAddT<V>};
 }

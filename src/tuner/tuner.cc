@@ -437,8 +437,12 @@ GraphTuner::loadState(std::istream &is)
                 return false;
         }
     }
+    // The search stages as many features as this tuner's model
+    // takes; a checkpointed model of another input size cannot
+    // score them.
     auto model = costmodel::CostModel::loadState(is);
-    if (!model)
+    if (!model ||
+        model->mlp().inputSize() != model_.mlp().inputSize())
         return false;
     size_t numTasks = 0;
     if (!(is >> word >> numTasks) || word != "tasks" ||

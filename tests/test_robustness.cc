@@ -11,12 +11,16 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <sstream>
+#include <utility>
 
 #include "core/felix.h"
 #include "support/logging.h"
 #include "costmodel/dataset.h"
 #include "features/features.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "tuner/tuner.h"
 
 namespace felix {
@@ -191,8 +195,156 @@ TEST(Robustness, CorruptCostModelFileRejected)
         std::ofstream os(path);
         os << "felix-cost-model v1\nmlp 3\n82 8 1\n0.5 truncated";
     }
-    EXPECT_THROW(costmodel::CostModel::tryLoad(path), InternalError);
+    EXPECT_FALSE(costmodel::CostModel::tryLoad(path).has_value());
     std::remove(path);
+}
+
+// ---------------------------------------------------------------
+// Garbage cost-model bytes in each format that carries them — the
+// pretrained-cache file (CostModel::tryLoad), the state blob
+// (CostModel::loadState) and the tuner checkpoint around it
+// (GraphTuner::loadState) — must end in a clean rejection: no throw,
+// no allocation sized by the garbage, no network whose input size
+// disagrees with its scaler. The CostModel loaders count each one.
+// ---------------------------------------------------------------
+
+/** A briefly fitted model of the default 82-128-128-64-1 shape. */
+const costmodel::CostModel &
+defaultShapeModel()
+{
+    static const costmodel::CostModel model = [] {
+        Rng rng(9);
+        std::vector<costmodel::Sample> samples(64);
+        for (costmodel::Sample &sample : samples) {
+            sample.rawFeatures.resize(features::kNumFeatures);
+            for (double &f : sample.rawFeatures)
+                f = std::exp(rng.uniform(0.0, 8.0));
+            sample.latencySec = rng.uniform(1e-5, 1e-3);
+        }
+        costmodel::CostModel m(costmodel::MlpConfig{}, 3);
+        m.fit(samples, 1, 64, 1e-3);
+        return m;
+    }();
+    return model;
+}
+
+/** A consistent @p inputs-input network and scaler, in save()
+ *  (or, with @p full, saveState()) format minus the tag line. */
+std::string
+narrowModelBody(int inputs, size_t scalerSize, bool full)
+{
+    costmodel::MlpConfig config;
+    config.layerSizes = {inputs, 8, 1};
+    Rng rng(4);
+    costmodel::Mlp mlp(config, rng);
+    std::ostringstream os;
+    if (full)
+        mlp.saveFull(os);
+    else
+        mlp.save(os);
+    os << scalerSize << "\n";
+    for (size_t i = 0; i < scalerSize; ++i)
+        os << "0 ";
+    os << "\n";
+    for (size_t i = 0; i < scalerSize; ++i)
+        os << "1 ";
+    os << "\n0\n";
+    return os.str();
+}
+
+/** Named garbage derived from one real serialization @p real whose
+ *  first line is @p tag. */
+std::vector<std::pair<std::string, std::string>>
+garbageOf(const std::string &real, const std::string &tag, bool full)
+{
+    std::vector<std::pair<std::string, std::string>> cases = {
+        {"cut at 20000 bytes", real.substr(0, 20000)},
+        {"2e9-wide hidden layer", tag + "\nmlp 3\n82 2000000000 1 \n"},
+        {"40 inputs behind an 82-entry scaler",
+         tag + "\n" + narrowModelBody(40, 82, full)},
+        {"wrong tag", "felix-cost-model v2" + real.substr(tag.size())},
+    };
+    for (size_t k = 0; k < 8; ++k)
+        cases.push_back({"cut at " + std::to_string(k) + "/8",
+                         real.substr(0, real.size() * k / 8)});
+    return cases;
+}
+
+TEST(Robustness, GarbageCostModelsRejectedByEveryLoader)
+{
+    const costmodel::CostModel &model = defaultShapeModel();
+    const obs::Counter &rejections =
+        obs::MetricsRegistry::instance().counter(
+            "costmodel.load_rejected");
+
+    const char *path = "garbage_model_tmp.txt";
+    model.save(path);
+    std::string file;
+    {
+        std::ifstream is(path);
+        file.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    ASSERT_TRUE(costmodel::CostModel::tryLoad(path).has_value());
+    for (const auto &[name, text] :
+         garbageOf(file, "felix-cost-model v1", false)) {
+        {
+            std::ofstream os(path);
+            os << text;
+        }
+        const double before = rejections.value();
+        EXPECT_FALSE(costmodel::CostModel::tryLoad(path).has_value())
+            << name;
+        EXPECT_EQ(rejections.value(), before + 1.0) << name;
+    }
+    std::remove(path);
+
+    std::ostringstream saved;
+    model.saveState(saved);
+    const std::string state = saved.str();
+    {
+        std::istringstream is(state);
+        ASSERT_TRUE(costmodel::CostModel::loadState(is).has_value());
+    }
+    const auto stateGarbage =
+        garbageOf(state, "felix-cost-model-state v1", true);
+    for (const auto &[name, text] : stateGarbage) {
+        std::istringstream is(text);
+        const double before = rejections.value();
+        EXPECT_FALSE(costmodel::CostModel::loadState(is).has_value())
+            << name;
+        EXPECT_EQ(rejections.value(), before + 1.0) << name;
+    }
+
+    // The checkpoint embeds the state blob verbatim; splice each
+    // garbage blob in its place. A failed load commits nothing, so
+    // one tuner serves every case.
+    tuner::GraphTuner tuner(smallTasks(), model,
+                            sim::DeviceKind::A5000, fastOptions());
+    std::ostringstream checkpointOs;
+    tuner.saveState(checkpointOs);
+    const std::string checkpoint = checkpointOs.str();
+    const size_t at = checkpoint.find(state);
+    ASSERT_NE(at, std::string::npos);
+    const std::string head = checkpoint.substr(0, at);
+    const std::string tail = checkpoint.substr(at + state.size());
+    {
+        std::istringstream is(checkpoint);
+        ASSERT_TRUE(tuner.loadState(is));
+    }
+    for (const auto &[name, text] : stateGarbage) {
+        std::istringstream is(head + text + tail);
+        EXPECT_FALSE(tuner.loadState(is)) << name;
+    }
+    // A consistent model of another input size parses, but the
+    // tuner's search stages 82 features for it.
+    const std::string narrow =
+        "felix-cost-model-state v1\n" + narrowModelBody(40, 40, true);
+    {
+        std::istringstream is(narrow);
+        EXPECT_TRUE(costmodel::CostModel::loadState(is).has_value());
+    }
+    std::istringstream is(head + narrow + tail);
+    EXPECT_FALSE(tuner.loadState(is));
 }
 
 TEST(Robustness, TunerHandlesManyTasksWithTinyBudget)

@@ -18,12 +18,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "costmodel/cost_model.h"
 #include "costmodel/dataset.h"
 #include "costmodel/fused.h"
 #include "costmodel/mlp.h"
+#include "mlp_reference.h"
 #include "expr/compiled.h"
 #include "obs/metrics.h"
 #include "optim/adam.h"
@@ -31,6 +33,7 @@
 #include "sim/gpu_model.h"
 #include "simd/kernels.h"
 #include "support/batch.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "tir/ops.h"
 
@@ -351,6 +354,84 @@ TEST(SimdParity, MlpTrainingTrajectoryScalarVsWidestBitExact)
     for (const auto &x : xs)
         EXPECT_BITEQ(mlpScalar.forward(x, scratch),
                      mlpVector.forward(x, scratch));
+}
+
+// ---------------------------------------------------------------
+// Training against the scalar trainer it replaced: Mlp::trainBatch
+// (batched layer kernels, per-chunk records, row-block reduction and
+// Adam on the pool) must reproduce tests/mlp_reference.h bit for bit
+// — every step's loss and the whole saved state, weights and Adam
+// moments — on every backend, at one and four jobs, on the default
+// network and a small one, over batches that are one sample, a
+// ragged part of a chunk, one chunk, one chunk and one sample, and
+// the Felix and Ansor fine-tune sizes.
+// ---------------------------------------------------------------
+
+TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
+{
+    const std::vector<int> widths = availableWidths();
+    const std::vector<std::vector<int>> shapes = {
+        costmodel::MlpConfig{}.layerSizes, {5, 16, 8, 1}};
+    const std::vector<size_t> batchSizes = {1, 5, 16, 17, 80, 128};
+    constexpr int kSteps = 10;
+    constexpr double kLr = 1e-2;
+
+    WidthGuard restore(0);
+    for (const std::vector<int> &shape : shapes) {
+        costmodel::MlpConfig config;
+        config.layerSizes = shape;
+        Rng init(2024);
+        const costmodel::Mlp start(config, init);
+        std::ostringstream initial;
+        start.saveFull(initial);
+        const size_t inputs = static_cast<size_t>(shape.front());
+
+        for (size_t batch : batchSizes) {
+            // A fresh batch per step; about half the ReLU gates of
+            // the He-initialized network are closed on these inputs.
+            Rng data(31 * batch + inputs);
+            std::vector<std::vector<std::vector<double>>> xs(kSteps);
+            std::vector<std::vector<double>> ys(kSteps);
+            for (int step = 0; step < kSteps; ++step) {
+                for (size_t s = 0; s < batch; ++s) {
+                    std::vector<double> x(inputs);
+                    for (double &v : x)
+                        v = data.uniform(-2.0, 2.0);
+                    xs[step].push_back(std::move(x));
+                    ys[step].push_back(data.uniform(-1.0, 1.0));
+                }
+            }
+
+            reference::ReferenceMlp ref(initial.str());
+            std::vector<double> refLoss;
+            for (int step = 0; step < kSteps; ++step)
+                refLoss.push_back(
+                    ref.trainBatch(xs[step], ys[step], kLr));
+            const std::string refState = ref.saveFull();
+
+            for (int w : widths) {
+                for (int jobs : {1, 4}) {
+                    ASSERT_TRUE(setPreferredWidth(w));
+                    setGlobalJobs(jobs);
+                    costmodel::Mlp mlp = start;
+                    for (int step = 0; step < kSteps; ++step)
+                        EXPECT_BITEQ(
+                            mlp.trainBatch(xs[step], ys[step], kLr),
+                            refLoss[step])
+                            << "backend " << activeBackendName()
+                            << " jobs " << jobs << " inputs " << inputs
+                            << " batch " << batch << " step " << step;
+                    std::ostringstream state;
+                    mlp.saveFull(state);
+                    EXPECT_TRUE(state.str() == refState)
+                        << "saved state differs: backend "
+                        << activeBackendName() << " jobs " << jobs
+                        << " inputs " << inputs << " batch " << batch;
+                }
+            }
+        }
+    }
+    setGlobalJobs(1);
 }
 
 // ---------------------------------------------------------------

@@ -203,7 +203,9 @@ runSocket(serve::ServeSession &session, const std::string &path,
             if (fd >= 0)
                 clients.push_back({fd, std::string()});
         }
-        for (size_t i = clients.size(); i-- > 0;) {
+        // Only clients that were polled have an fds entry: one
+        // accepted above waits for the next poll.
+        for (size_t i = fds.size() - 1; i-- > 0;) {
             if (!(fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             Client &client = clients[i];
