@@ -7,11 +7,13 @@
  * the Adam parameter update, one cost-model fine-tune step at the
  * batch sizes a round trains on, and the end-to-end surrogate descent
  * step (grad_search_step: scalar reference, unfused batch, and the
- * fused step production runs). Every batched benchmark runs once per
- * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
- * whatever this build and CPU support), so one run shows the whole
- * width sweep. Instruction counts before/after the tape optimizer
- * are reported as counters.
+ * fused step production runs — at full width, and at the 8 and 3
+ * live lanes a seed batch holds in production, once more with the
+ * per-lane rounding to a valid schedule). Every batched benchmark
+ * runs once per available SIMD backend (scalar fallback, SSE2, AVX2,
+ * AVX-512 — whatever this build and CPU support), so one run shows
+ * the whole width sweep. Instruction counts before/after the tape
+ * optimizer are reported as counters.
  *
  * Besides the console table, results are written machine-readable to
  * BENCH_tape.json in the working directory (override with
@@ -224,7 +226,7 @@ BM_MlpForwardBatch(benchmark::State &state)
         v = rng.uniform(-2.0, 2.0);
     double y[kBatchLanes];
     for (auto _ : state) {
-        mlp.forwardBatch(x.data(), y, scratch);
+        mlp.forwardBatch(x.data(), L, y, scratch);
         benchmark::DoNotOptimize(&y[0]);
     }
     state.counters["points_per_sec"] = benchmark::Counter(
@@ -268,7 +270,7 @@ BM_MlpInputGradBatch(benchmark::State &state)
     double y[kBatchLanes];
     std::vector<double> dx(82 * L);
     for (auto _ : state) {
-        mlp.forwardInputGradBatch(x.data(), y, dx.data(), scratch);
+        mlp.forwardInputGradBatch(x.data(), L, y, dx.data(), scratch);
         benchmark::DoNotOptimize(dx.data());
     }
     state.counters["points_per_sec"] = benchmark::Counter(
@@ -345,12 +347,13 @@ benchModel()
  * End-to-end surrogate descent step (Algorithm 1 lines 15-18): tape
  * forward -> MLP score + input gradient -> tape backward -> per-seed
  * Adam update. This is the loop body GradientSearch::round runs
- * nSteps times per seed; rounding-to-valid is excluded (it runs on
- * visited points, not inside the descent step). Counter steps_per_sec
- * is per-seed steps (batched variants advance kBatchLanes seeds per
- * iteration). Iterates drift under repeated stepping, so lanes reset
- * to the sampled points every 128 steps to keep the workload in the
- * numeric range the real search sees.
+ * nSteps times per seed; the plain series exclude rounding-to-valid,
+ * and the fused_round series add it, so they time a seed batch's
+ * whole per-step work. Counter steps_per_sec is per-seed steps
+ * (batched variants advance one seed per live lane per iteration).
+ * Iterates drift under repeated stepping, so lanes reset to the
+ * sampled points every 128 steps to keep the workload in the numeric
+ * range the real search sees.
  */
 void
 BM_GradSearchStepScalar(benchmark::State &state)
@@ -389,8 +392,10 @@ BM_GradSearchStepScalar(benchmark::State &state)
 }
 
 void
-gradSearchStepBatchImpl(benchmark::State &state, bool fused)
+gradSearchStepBatchImpl(benchmark::State &state, bool fused,
+                        size_t width, bool round)
 {
+    static const sketch::ConstraintChecker checker(denseSketch());
     const auto &tape = objectiveTape();
     const auto &model = benchModel();
     constexpr size_t L = kBatchLanes;
@@ -418,13 +423,14 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused)
         if ((iter++ & 127) == 0)
             inputs = init;
         if (fused) {
-            step.run(inputs.data(), L, scores, inputGrads.data(),
+            step.run(inputs.data(), width, scores, inputGrads.data(),
                      evalState, predict);
         } else {
-            tape.forwardBatch(inputs.data(), L, outputs.data(),
+            tape.forwardBatch(inputs.data(), width, outputs.data(),
                               evalState);
             model.predictTransformedWithGradBatch(
-                outputs.data(), scores, modelGrads.data(), predict);
+                outputs.data(), width, scores, modelGrads.data(),
+                predict);
             std::fill(outputGrads.begin(), outputGrads.end(), 0.0);
             for (size_t k = 0; k < numFeatures; ++k) {
                 const size_t row = k * L;
@@ -434,7 +440,7 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused)
             tape.backwardBatch(outputGrads.data(), inputGrads.data(),
                                evalState);
         }
-        for (size_t l = 0; l < L; ++l) {
+        for (size_t l = 0; l < width; ++l) {
             for (size_t v = 0; v < numVars; ++v) {
                 yLane[v] = inputs[v * L + l];
                 laneGrad[v] = inputGrads[v * L + l];
@@ -442,26 +448,18 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused)
             adams[l].step(yLane, laneGrad);
             for (size_t v = 0; v < numVars; ++v)
                 inputs[v * L + l] = yLane[v];
+            if (round)
+                benchmark::DoNotOptimize(
+                    sketch::roundToValid(denseSketch(), yLane, checker));
         }
         benchmark::DoNotOptimize(&scores[0]);
     }
     state.counters["steps_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
-            static_cast<double>(L),
+            static_cast<double>(width),
         benchmark::Counter::kIsRate);
 }
 
-void
-BM_GradSearchStepBatch(benchmark::State &state)
-{
-    gradSearchStepBatchImpl(state, /*fused=*/false);
-}
-
-void
-BM_GradSearchStepFused(benchmark::State &state)
-{
-    gradSearchStepBatchImpl(state, /*fused=*/true);
-}
 
 void
 BM_AdamStep(benchmark::State &state)
@@ -564,10 +562,25 @@ main(int argc, char **argv)
     registerWidthVariants("finetune/128", BM_FinetuneAnsor);
     registerScalarEngine("grad_search_step/scalar",
                          BM_GradSearchStepScalar);
-    registerWidthVariants("grad_search_step/batch",
-                          BM_GradSearchStepBatch);
-    registerWidthVariants("grad_search_step/fused",
-                          BM_GradSearchStepFused);
+    // Full width, then the 8 and 3 live lanes a seed batch holds in
+    // production (arguments: fused, live lanes, round to valid).
+    using State = benchmark::State;
+    registerWidthVariants("grad_search_step/batch", [](State &st) {
+        gradSearchStepBatchImpl(st, false, kBatchLanes, false);
+    });
+    registerWidthVariants("grad_search_step/fused", [](State &st) {
+        gradSearchStepBatchImpl(st, true, kBatchLanes, false);
+    });
+    registerWidthVariants("grad_search_step/fused/w8", [](State &st) {
+        gradSearchStepBatchImpl(st, true, 8, false);
+    });
+    registerWidthVariants("grad_search_step/fused/w3", [](State &st) {
+        gradSearchStepBatchImpl(st, true, 3, false);
+    });
+    registerWidthVariants("grad_search_step/fused_round/w3",
+                          [](State &st) {
+                              gradSearchStepBatchImpl(st, true, 3, true);
+                          });
 
     return bench::runSuite(
         argc, argv, "tape", header, [](const std::string &name) {

@@ -214,8 +214,8 @@ CostModel::predictTransformedWithGrad(
 }
 
 void
-CostModel::predictBatch(const double *raw, double *scores,
-                        PredictScratch &scratch) const
+CostModel::predictBatch(const double *raw, size_t width,
+                        double *scores, PredictScratch &scratch) const
 {
     FELIX_CHECK(scaler_.fitted(), "cost model not fitted");
     constexpr size_t L = kBatchLanes;
@@ -225,23 +225,24 @@ CostModel::predictBatch(const double *raw, double *scores,
     std::vector<double> &scaled = scratch.scaled;
     scaled.resize(dim * L);
     // phi + standardization per lane, elementwise — the identical
-    // scalar expressions predict() evaluates.
+    // scalar expressions predict() evaluates. Padding lanes keep
+    // what the buffer last held; no lane reads another.
     for (size_t i = 0; i < dim; ++i) {
         const double *in = &raw[i * L];
         double *out = &scaled[i * L];
-        for (size_t l = 0; l < L; ++l)
+        for (size_t l = 0; l < width; ++l)
             out[l] = (inputTransform(in[l]) - means[i]) / stds[i];
     }
     double y[L];
-    mlp_.forwardBatch(scaled.data(), y, scratch.mlp);
-    for (size_t l = 0; l < L; ++l)
+    mlp_.forwardBatch(scaled.data(), width, y, scratch.mlp);
+    for (size_t l = 0; l < width; ++l)
         scores[l] = targetMean_ + y[l];
 }
 
 void
 CostModel::predictTransformedWithGradBatch(
-    const double *transformed, double *scores, double *grads,
-    PredictScratch &scratch) const
+    const double *transformed, size_t width, double *scores,
+    double *grads, PredictScratch &scratch) const
 {
     FELIX_CHECK(scaler_.fitted(), "cost model not fitted");
     constexpr size_t L = kBatchLanes;
@@ -253,19 +254,19 @@ CostModel::predictTransformedWithGradBatch(
     for (size_t i = 0; i < dim; ++i) {
         const double *in = &transformed[i * L];
         double *out = &scaled[i * L];
-        for (size_t l = 0; l < L; ++l)
+        for (size_t l = 0; l < width; ++l)
             out[l] = (in[l] - means[i]) / stds[i];
     }
     double y[L];
-    mlp_.forwardInputGradBatch(scaled.data(), y, grads,
+    mlp_.forwardInputGradBatch(scaled.data(), width, y, grads,
                                scratch.mlp);
     // Chain through standardization: d/dz = d/dz' / sigma.
     for (size_t i = 0; i < dim; ++i) {
         double *g = &grads[i * L];
-        for (size_t l = 0; l < L; ++l)
+        for (size_t l = 0; l < width; ++l)
             g[l] /= stds[i];
     }
-    for (size_t l = 0; l < L; ++l)
+    for (size_t l = 0; l < width; ++l)
         scores[l] = targetMean_ + y[l];
 }
 

@@ -114,22 +114,24 @@ class CostModel
         std::vector<double> &grad) const;
 
     /**
-     * Batched predict() over kBatchLanes raw feature vectors in SoA
-     * rows (raw[i * kBatchLanes + lane] = feature i of point
-     * `lane`); scores is one row. Lanes are independent and each is
-     * bit-identical to the scalar predict() of that point; pad
-     * unused lanes with any finite values.
+     * Batched predict() over the first @p width (1..kBatchLanes) of
+     * kBatchLanes raw feature vectors in SoA rows
+     * (raw[i * kBatchLanes + lane] = feature i of point `lane`);
+     * scores is one row, written for those lanes. Lanes are
+     * independent and each is bit-identical to the scalar predict()
+     * of that point; lanes >= width are never read.
      */
-    void predictBatch(const double *raw, double *scores,
+    void predictBatch(const double *raw, size_t width, double *scores,
                       PredictScratch &scratch) const;
 
     /**
-     * Batched predictTransformedWithGrad(): scores is one row,
-     * grads is inputSize rows of d(score)/d(transformed feature).
-     * Per lane bit-identical to the scalar overload.
+     * Batched predictTransformedWithGrad() over the first @p width
+     * lanes: scores is one row, grads is inputSize rows of
+     * d(score)/d(transformed feature). Per lane bit-identical to the
+     * scalar overload.
      */
     void predictTransformedWithGradBatch(const double *transformed,
-                                         double *scores,
+                                         size_t width, double *scores,
                                          double *grads,
                                          PredictScratch &scratch) const;
 

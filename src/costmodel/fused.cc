@@ -43,18 +43,19 @@ FusedGradStep::run(const double *inputs, size_t width,
     // buffer into the network's input rows — the unfused path's
     // outputs/scaled copies collapse into this one pass, same
     // per-lane arithmetic (cost_model.cc
-    // predictTransformedWithGradBatch).
+    // predictTransformedWithGradBatch). Every stage from here on
+    // sweeps only the live lanes' vector chunks.
     double *xRows = mlp.stageInputRows(scratch.mlp);
     for (size_t k = 0; k < numFeatures_; ++k) {
         const double *in = objective_.outputRowPtr(k, tape);
         double *out = &xRows[k * L];
-        for (size_t l = 0; l < L; ++l)
+        for (size_t l = 0; l < width; ++l)
             out[l] = (in[l] - means[k]) / stds[k];
     }
 
     double y[kBatchLanes];
-    mlp.forwardInputGradStaged(y, scratch.mlp);
-    for (size_t l = 0; l < L; ++l)
+    mlp.forwardInputGradStaged(width, y, scratch.mlp);
+    for (size_t l = 0; l < width; ++l)
         scores[l] = model_.targetMean() + y[l];
 
     // Seed the tape adjoints directly from the MLP gradient rows.

@@ -62,7 +62,9 @@ class FusedGradStep
      * gradient, adjoint seeding, tape backward.
      *
      * @param inputs numVars rows of kBatchLanes doubles (SoA).
-     * @param width Active lanes, 1..kBatchLanes.
+     * @param width Active lanes, 1..kBatchLanes. Every stage sweeps
+     *        only the vector chunks that hold them, and only they
+     *        are written to @p scores and @p inputGrads.
      * @param scores One row; scores[l] is the model score of lane l
      *        (active lanes only).
      * @param inputGrads numVars rows: d(-score + penalty)/d(input),

@@ -25,11 +25,15 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config))
         layer.out = config_.layerSizes[i + 1];
         layer.weight.assign(
             static_cast<size_t>(layer.in) * layer.out, 0.0);
+        layer.weightT.assign(layer.weight.size(), 0.0);
         layer.bias.assign(layer.out, 0.0);
         layer.mWeight.assign(layer.weight.size(), 0.0);
         layer.vWeight.assign(layer.weight.size(), 0.0);
         layer.mBias.assign(layer.bias.size(), 0.0);
         layer.vBias.assign(layer.bias.size(), 0.0);
+        zeroBias_.resize(
+            std::max(zeroBias_.size(), static_cast<size_t>(layer.in)),
+            0.0);
         layers_.push_back(std::move(layer));
     }
 }
@@ -42,6 +46,25 @@ Mlp::Mlp(MlpConfig config, Rng &rng) : Mlp(std::move(config))
         for (double &w : layer.weight)
             w = rng.normal(0.0, scale);
     }
+    transposeAll();
+}
+
+void
+Mlp::Layer::transposeRows(int begin, int end)
+{
+    const size_t inz = static_cast<size_t>(in);
+    const size_t outz = static_cast<size_t>(out);
+    for (size_t i = 0; i < inz; ++i)
+        for (size_t o = static_cast<size_t>(begin);
+             o < static_cast<size_t>(end); ++o)
+            weightT[i * outz + o] = weight[o * inz + i];
+}
+
+void
+Mlp::transposeAll()
+{
+    for (Layer &layer : layers_)
+        layer.transposeRows(0, layer.out);
 }
 
 size_t
@@ -153,7 +176,8 @@ Mlp::forwardInputGrad(const std::vector<double> &x,
 
 void
 Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
-                       const AlignedRows &cur, AlignedRows &out)
+                       const AlignedRows &cur, AlignedRows &out,
+                       size_t width)
 {
     // The blocked kernel (four neurons share each input-row load;
     // per lane the accumulation order stays bias first, then inputs
@@ -163,54 +187,26 @@ Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
     out.resize(static_cast<size_t>(layer.out) * kBatchLanes);
     simd::activeKernels().mlpForwardLayer(
         layer.weight.data(), layer.bias.data(), layer.in, layer.out,
-        hidden, cur.data(), out.data());
-}
-
-/**
- * Scalar-lane fallback test for the batched entry points.
- *
- * The blocked batch kernels keep kBlock accumulator *rows* live;
- * at lane width 1 a row is 16 scalars, so the register allocator
- * spills the 4x16 (forward) / 8x16 (backward) accumulator tile to
- * the stack on every iteration — BENCH_tape.json showed
- * mlp_input_grad/batch/simd=scalar at ~12k pts/s versus ~32k for
- * the plain scalar path. Gathering each lane and running the
- * scalar network is faster AND bit-identical: the batch contract
- * already guarantees every lane equals a scalar forward() of that
- * point, which is exactly what this computes.
- */
-static bool
-useScalarLanes()
-{
-    return simd::activeKernels().width == 1;
+        hidden, cur.data(), out.data(), width);
 }
 
 void
-Mlp::forwardBatch(const double *x, double *y,
-                  MlpBatchScratch &scratch) const
+Mlp::inputGradLayerBatch(const Layer &layer, const AlignedRows &madj,
+                         AlignedRows &prev, size_t width) const
 {
-    constexpr size_t L = kBatchLanes;
-    if (useScalarLanes()) {
-        std::vector<double> &in = scratch.laneIn;
-        in.resize(static_cast<size_t>(inputSize()));
-        for (size_t l = 0; l < L; ++l) {
-            for (int i = 0; i < inputSize(); ++i)
-                in[static_cast<size_t>(i)] =
-                    x[static_cast<size_t>(i) * L + l];
-            y[l] = forward(in, scratch.lane);
-        }
-        return;
-    }
-    AlignedRows &cur = scratch.cur;
-    AlignedRows &next = scratch.next;
-    cur.assign(x, x + static_cast<size_t>(inputSize()) * L);
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        forwardLayerBatch(layers_[li], li + 1 < layers_.size(), cur,
-                          next);
-        cur.swap(next);
-    }
-    for (size_t l = 0; l < L; ++l)
-        y[l] = cur[l];
+    // The input gradient of a layer is a layer itself: prev = W^T
+    // madj, the forward kernel over the transposed weights with a
+    // zero bias. Per lane it adds w[o][i] * madj[o] in ascending o
+    // from +0.0 — the scalar backward's order, and multiplication
+    // commutes. The scalar path skips a neuron whose gate is closed;
+    // here its masked adjoint is an exact 0.0, so it adds +/-0.0
+    // (finite weights) to an accumulator that can never hold -0.0
+    // (IEEE addition yields -0.0 only for (-0)+(-0), and the
+    // accumulator starts at +0.0): adding it never changes a bit.
+    prev.resize(static_cast<size_t>(layer.in) * kBatchLanes);
+    simd::activeKernels().mlpForwardLayer(
+        layer.weightT.data(), zeroBias_.data(), layer.out, layer.in,
+        /*hidden=*/false, madj.data(), prev.data(), width);
 }
 
 double *
@@ -223,80 +219,68 @@ Mlp::stageInputRows(MlpBatchScratch &scratch) const
 }
 
 void
-Mlp::forwardInputGradStaged(double *y,
+Mlp::forwardStaged(size_t width, double *y,
+                   MlpBatchScratch &scratch) const
+{
+    FELIX_CHECK(width >= 1 && width <= kBatchLanes, "MLP batch width ",
+                width, " out of [1, ", kBatchLanes, "]");
+    std::vector<AlignedRows> &acts = scratch.acts;
+    for (size_t li = 0; li < layers_.size(); ++li)
+        forwardLayerBatch(layers_[li], li + 1 < layers_.size(),
+                          acts[li], acts[li + 1], width);
+    for (size_t l = 0; l < width; ++l)
+        y[l] = acts.back()[l];
+}
+
+void
+Mlp::forwardBatch(const double *x, size_t width, double *y,
+                  MlpBatchScratch &scratch) const
+{
+    double *rows = stageInputRows(scratch);
+    std::copy(x, x + static_cast<size_t>(inputSize()) * kBatchLanes,
+              rows);
+    forwardStaged(width, y, scratch);
+}
+
+void
+Mlp::forwardInputGradStaged(size_t width, double *y,
                             MlpBatchScratch &scratch) const
 {
     constexpr size_t L = kBatchLanes;
-    std::vector<AlignedRows> &acts = scratch.acts;
-
-    if (useScalarLanes()) {
-        // See the width-1 note above forwardBatch; the gradient
-        // rows land in scratch.adj exactly like the batched sweep.
-        const double *x = acts[0].data();
-        scratch.adj.assign(static_cast<size_t>(inputSize()) * L,
-                           0.0);
-        std::vector<double> &in = scratch.laneIn;
-        std::vector<double> &dxLane = scratch.laneDx;
-        in.resize(static_cast<size_t>(inputSize()));
-        for (size_t l = 0; l < L; ++l) {
-            for (int i = 0; i < inputSize(); ++i)
-                in[static_cast<size_t>(i)] =
-                    x[static_cast<size_t>(i) * L + l];
-            y[l] = forwardInputGrad(in, dxLane, scratch.lane);
-            for (int i = 0; i < inputSize(); ++i)
-                scratch.adj[static_cast<size_t>(i) * L + l] =
-                    dxLane[static_cast<size_t>(i)];
-        }
-        return;
-    }
-
-    for (size_t li = 0; li < layers_.size(); ++li)
-        forwardLayerBatch(layers_[li], li + 1 < layers_.size(),
-                          acts[li], acts[li + 1]);
-    for (size_t l = 0; l < L; ++l)
-        y[l] = acts.back()[l];
-
+    forwardStaged(width, y, scratch);
+    const std::vector<AlignedRows> &acts = scratch.acts;
     AlignedRows &adj = scratch.adj;
-    AlignedRows &prev = scratch.prev;
     AlignedRows &madj = scratch.madj;
     adj.assign(L, 1.0);
+    const simd::KernelSet &kernels = simd::activeKernels();
     for (size_t li = layers_.size(); li-- > 0;) {
         const Layer &layer = layers_[li];
-        const bool hidden = li + 1 < layers_.size();
-        const AlignedRows &out = acts[li + 1];
-
-        // ReLU masking and the blocked adjoint accumulation run in
-        // the runtime-dispatched backend (src/simd/kernels_impl.h).
-        // The scalar path skips a neuron entirely when its gate is
-        // closed; the kernel instead selects a 0.0 adjoint for
-        // closed lanes BEFORE the multiplies, which reproduces that
-        // bit for bit: the masked terms are exact +/-0.0 (finite
-        // weights), and an accumulator row can never hold -0.0
-        // (IEEE addition yields -0.0 only for (-0)+(-0), and rows
-        // start at +0.0), so adding them never changes a bit. Per
-        // (input, lane) the additions still run in ascending neuron
-        // order — exactly the scalar order.
+        // Mask first (madj = open gate ? adj : +0.0, BEFORE any
+        // multiply), then the transposed layer; the argument that
+        // this matches the scalar skip bit for bit is on
+        // inputGradLayerBatch.
         madj.resize(static_cast<size_t>(layer.out) * L);
-        prev.assign(static_cast<size_t>(layer.in) * L, 0.0);
-        simd::activeKernels().mlpBackwardLayer(
-            layer.weight.data(), layer.in, layer.out, hidden,
-            out.data(), adj.data(), madj.data(), prev.data());
-        adj.swap(prev);
+        kernels.mlpBackwardLayer(layer.out, li + 1 < layers_.size(),
+                                 acts[li + 1].data(), adj.data(),
+                                 madj.data(), width);
+        inputGradLayerBatch(layer, madj, scratch.prev, width);
+        adj.swap(scratch.prev);
     }
 }
 
 void
-Mlp::forwardInputGradBatch(const double *x, double *y, double *dx,
-                           MlpBatchScratch &scratch) const
+Mlp::forwardInputGradBatch(const double *x, size_t width, double *y,
+                           double *dx, MlpBatchScratch &scratch) const
 {
     constexpr size_t L = kBatchLanes;
     const size_t inRows = static_cast<size_t>(inputSize()) * L;
     double *rows = stageInputRows(scratch);
     std::copy(x, x + inRows, rows);
-    forwardInputGradStaged(y, scratch);
+    forwardInputGradStaged(width, y, scratch);
     const double *g = inputGradRows(scratch);
-    for (size_t i = 0; i < inRows; ++i)
-        dx[i] = g[i];
+    for (size_t row = 0; row < inRows; row += L)
+        for (size_t l = 0; l < width; ++l)
+            dx[row + l] = g[row + l];
 }
 
 double
@@ -341,32 +325,13 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
     std::vector<double> record(numChunks * chunkDoubles);
     std::vector<double> chunkLoss(numChunks);
 
-    // The input gradient of a layer is a layer itself: prev = W^T
-    // madj, which the forward kernel evaluates over the transposed
-    // weights with a zero bias. Per lane it adds w[o][i] * madj[o]
-    // in ascending o from +0.0, the scalar backward's order, and a
-    // closed gate's exact 0.0 adds +/-0.0 to an accumulator that can
-    // never hold -0.0 (the argument in forwardInputGradStaged).
-    // Measured faster than the blocked backward kernel at every
-    // width. Nothing reads layer 0's input gradient.
-    std::vector<std::vector<double>> transposed(numLayers);
-    size_t widestIn = 0;
-    for (size_t li = 1; li < numLayers; ++li) {
-        const Layer &layer = layers_[li];
-        const size_t in = static_cast<size_t>(layer.in);
-        const size_t out = static_cast<size_t>(layer.out);
-        transposed[li].resize(layer.weight.size());
-        for (size_t o = 0; o < out; ++o)
-            for (size_t i = 0; i < in; ++i)
-                transposed[li][i * out + o] = layer.weight[o * in + i];
-        widestIn = std::max(widestIn, in);
-    }
-    const std::vector<double> zeroBias(widestIn, 0.0);
-
     // Phase 1, one item per chunk: the batched layer kernels over SoA
-    // tiles whose lanes are samples. Spare lanes hold zero inputs and
-    // a zero adjoint, and are not recorded. Per lane every sweep is
-    // the scalar per-sample sequence.
+    // tiles whose lanes are samples, swept over the chunks that hold
+    // the tile's samples. Spare lanes hold zero inputs and a zero
+    // adjoint, and are not recorded. Per lane every sweep is the
+    // scalar per-sample sequence; the input gradients run on the
+    // cached transposed weights (inputGradLayerBatch), and nothing
+    // reads layer 0's.
     parallelForChunks(
         "costmodel.train_chunk", batch, kChunk,
         [&](size_t begin, size_t end) {
@@ -387,7 +352,7 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                             xs[first + l][static_cast<size_t>(i)];
                 for (size_t li = 0; li < numLayers; ++li)
                     forwardLayerBatch(layers_[li], li + 1 < numLayers,
-                                      acts[li], acts[li + 1]);
+                                      acts[li], acts[li + 1], lanes);
 
                 // Head adjoint d(loss)/d(prediction) = 2 err / B.
                 tile.adj.assign(L, 0.0);
@@ -401,13 +366,12 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                     const Layer &layer = layers_[li];
                     const size_t in = static_cast<size_t>(layer.in);
                     const size_t out = static_cast<size_t>(layer.out);
-                    // With no inputs the backward kernel only masks:
                     // madj = open gate ? adj : +0.0.
                     tile.madj.resize(out * L);
                     kernels.mlpBackwardLayer(
-                        layer.weight.data(), 0, layer.out,
-                        li + 1 < numLayers, acts[li + 1].data(),
-                        tile.adj.data(), tile.madj.data(), nullptr);
+                        layer.out, li + 1 < numLayers,
+                        acts[li + 1].data(), tile.adj.data(),
+                        tile.madj.data(), lanes);
                     double *adjRec = rec + adjAt[li] + at;
                     for (size_t o = 0; o < out; ++o)
                         for (size_t l = 0; l < lanes; ++l)
@@ -419,11 +383,8 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                             inRec[l * in + i] = acts[li][i * L + l];
                     if (li == 0)
                         break;
-                    tile.prev.resize(in * L);
-                    kernels.mlpForwardLayer(
-                        transposed[li].data(), zeroBias.data(),
-                        layer.out, layer.in, /*hidden=*/false,
-                        tile.madj.data(), tile.prev.data());
+                    inputGradLayerBatch(layer, tile.madj, tile.prev,
+                                        lanes);
                     tile.adj.swap(tile.prev);
                 }
             }
@@ -432,8 +393,9 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
 
     // Phase 2, one item per (layer, block of output rows): sum the
     // rows' gradient over the chunks in chunk order into a zero total
-    // (mlpWeightGrad), then apply Adam to those rows. Every parameter
-    // is independent here, so the blocking changes no bit.
+    // (mlpWeightGrad), apply Adam to those rows, and refresh their
+    // columns of the transposed copy. Every parameter is independent
+    // here, so the blocking changes no bit.
     constexpr int kRowBlock = 32;
     struct RowBlock
     {
@@ -477,6 +439,11 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                          layer.mBias.data() + row0,
                          layer.vBias.data() + row0, rows, b1, b2, corr1,
                          corr2, lr, config_.adamEps);
+        // Row by row of the copy, so the item writes only its own
+        // kRowBlock-column span of each: whole cache lines when the
+        // layer width is a multiple of 8, never a line another item
+        // writes.
+        layer.transposeRows(block.begin, block.end);
     });
 
     double loss = 0.0;
@@ -579,6 +546,7 @@ Mlp::read(std::istream &is, bool full)
     }
     if (!is)
         return std::nullopt;
+    mlp.transposeAll();
     return mlp;
 }
 

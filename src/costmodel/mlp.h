@@ -48,16 +48,9 @@ struct MlpScratch
  */
 struct MlpBatchScratch
 {
-    AlignedRows cur, next;
-    std::vector<AlignedRows> acts;
+    std::vector<AlignedRows> acts;  ///< per-layer activations
     AlignedRows adj, prev;
     AlignedRows madj;  ///< ReLU-masked adjoint rows
-
-    // Scalar-lane fallback buffers (see the width-1 note on
-    // Mlp::forwardBatch): per-lane gather/scatter staging plus one
-    // scalar scratch, reused across lanes and calls.
-    MlpScratch lane;
-    std::vector<double> laneIn, laneDx;
 };
 
 /** MLP shape: sizes of every layer including input and output. */
@@ -106,25 +99,26 @@ class Mlp
                             std::vector<double> &dx) const;
 
     /**
-     * Evaluate kBatchLanes inputs in lockstep. All buffers are SoA
-     * rows of kBatchLanes doubles: x[i * kBatchLanes + lane] is
-     * feature i of point `lane`, y is one row of scores. Lanes are
-     * fully independent (the ReLU gates are per lane), so each
-     * lane's score is bit-identical to a scalar forward() of that
-     * point; callers with partial batches pad the unused lanes with
-     * any finite values.
+     * Evaluate @p width points (1..kBatchLanes) in lockstep. All
+     * buffers are SoA rows of kBatchLanes doubles:
+     * x[i * kBatchLanes + lane] is feature i of point `lane`, y is
+     * one row of scores. Lanes are fully independent (the ReLU gates
+     * are per lane), so each of the first @p width lanes scores
+     * bit-identically to a scalar forward() of that point, whatever
+     * the other lanes hold. The kernels sweep only the vector chunks
+     * that hold those lanes; y is written for them alone.
      */
-    void forwardBatch(const double *x, double *y,
+    void forwardBatch(const double *x, size_t width, double *y,
                       MlpBatchScratch &scratch) const;
 
     /**
-     * Batched forward plus input gradient: y is one row of scores,
-     * dx is inputSize() rows of d(score)/d(input). Per lane
-     * bit-identical to forwardInputGrad() (row-major GEMM-style
-     * loops over the same accumulation order).
+     * Batched forward plus input gradient over the first @p width
+     * lanes: y is one row of scores, dx is inputSize() rows of
+     * d(score)/d(input). Per lane bit-identical to
+     * forwardInputGrad().
      */
-    void forwardInputGradBatch(const double *x, double *y,
-                               double *dx,
+    void forwardInputGradBatch(const double *x, size_t width,
+                               double *y, double *dx,
                                MlpBatchScratch &scratch) const;
 
     // ----- Staged entry points (costmodel/fused.h) ---------------
@@ -139,10 +133,11 @@ class Mlp
      *  forwardInputGradStaged(). Sized on first use. */
     double *stageInputRows(MlpBatchScratch &scratch) const;
 
-    /** forwardInputGradBatch reading inputs from stageInputRows()
-     *  and leaving the input-gradient rows in @p scratch (read them
-     *  via inputGradRows()). y is one row of scores. */
-    void forwardInputGradStaged(double *y,
+    /** forwardInputGradBatch over the first @p width lanes, reading
+     *  inputs from stageInputRows() and leaving the input-gradient
+     *  rows in @p scratch (read them via inputGradRows()). y is one
+     *  row of scores. */
+    void forwardInputGradStaged(size_t width, double *y,
                                 MlpBatchScratch &scratch) const;
 
     /** Input-gradient rows left by forwardInputGradStaged(); valid
@@ -193,16 +188,39 @@ class Mlp
         int in = 0, out = 0;
         std::vector<double> weight;   ///< out x in, row-major
         std::vector<double> bias;     ///< out
+        /** in x out, row-major: weight transposed, which the batched
+         *  input gradient runs the forward kernel over. Refreshed
+         *  wherever weight changes (transposeRows). */
+        AlignedRows weightT;
         // Adam state
         std::vector<double> mWeight, vWeight, mBias, vBias;
+
+        /** Copy weight rows [begin, end) into weightT, one input row
+         *  of weightT at a time. */
+        void transposeRows(int begin, int end);
     };
+
+    /** Refresh every layer's weightT from its weights. */
+    void transposeAll();
+
+    /** The batched forward over stageInputRows(), keeping every
+     *  layer's activations in @p scratch; y is one row of scores. */
+    void forwardStaged(size_t width, double *y,
+                       MlpBatchScratch &scratch) const;
 
     static void forwardLayerBatch(const Layer &layer, bool hidden,
                                   const AlignedRows &cur,
-                                  AlignedRows &out);
+                                  AlignedRows &out, size_t width);
+
+    /** prev = the input gradient of @p layer given its masked
+     *  adjoint rows: the forward kernel over weightT, zero bias. */
+    void inputGradLayerBatch(const Layer &layer,
+                             const AlignedRows &madj,
+                             AlignedRows &prev, size_t width) const;
 
     MlpConfig config_;
     std::vector<Layer> layers_;
+    std::vector<double> zeroBias_;  ///< widest layer input, all +0.0
     int64_t adamStep_ = 0;
 };
 

@@ -254,7 +254,7 @@ EvolutionarySearch::round(const costmodel::CostModel &model, Rng &rng)
             context.rawFeatures->forwardBatch(
                 ws.inputs.data(), width, ws.outputs.data(), ws.tape);
             double scores[kBatchLanes];
-            model.predictBatch(ws.outputs.data(), scores,
+            model.predictBatch(ws.outputs.data(), width, scores,
                                ws.predict);
             for (size_t l = 0; l < width; ++l)
                 pop[batch.members[l]].score = scores[l];

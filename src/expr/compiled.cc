@@ -167,8 +167,9 @@ CompiledExprs::forwardBatchKeep(const double *inputs, size_t width,
     double *vals = state.values.data();
 
     // Variable rows. Padding lanes replicate lane 0 so every lane
-    // computes on real, finite inputs (no NaN surprises, no denormal
-    // slowdowns) while the lane loops keep their fixed trip count.
+    // the sweep touches computes on real, finite inputs (no NaN
+    // surprises, no denormal slowdowns): the kernels sweep whole
+    // vector chunks, and the last live chunk may hold padding.
     const size_t varBase = program_.firstVarSlot();
     for (size_t v = 0; v < program_.numVars; ++v) {
         double *row = &vals[(varBase + v) * kBatchLanes];
@@ -179,12 +180,12 @@ CompiledExprs::forwardBatchKeep(const double *inputs, size_t width,
 
     // The instruction sweep runs in the runtime-dispatched SIMD
     // backend (src/simd/): the same per-op kernels as the scalar
-    // walk, in lane-vector form (expr/op_kernels.h), chunked across
-    // the kBatchLanes-wide rows. Tape slots are SSA — operands always
-    // live in strictly earlier slots, so the destination row never
-    // aliases them — and every backend is bit-identical per lane
-    // (tests/test_simd.cc).
-    simd::activeKernels().tapeForward(program_, vals);
+    // walk, in lane-vector form (expr/op_kernels.h), over the vector
+    // chunks of each row that hold live lanes. Tape slots are SSA —
+    // operands always live in strictly earlier slots, so the
+    // destination row never aliases them — and every backend is
+    // bit-identical per lane (tests/test_simd.cc).
+    simd::activeKernels().tapeForward(program_, vals, width);
 
     state.width = width;
     state.forwardDone = true;
@@ -208,7 +209,7 @@ CompiledExprs::forwardBatch(const double *inputs, size_t width,
     for (size_t k = 0; k < program_.outputSlots.size(); ++k) {
         const double *row = outputRowPtr(k, state);
         double *outRow = &outputs[k * kBatchLanes];
-        for (size_t l = 0; l < kBatchLanes; ++l)
+        for (size_t l = 0; l < width; ++l)
             outRow[l] = row[l];
     }
 }
@@ -238,19 +239,21 @@ CompiledExprs::finishBackwardBatch(double *input_grads,
     const double *vals = state.values.data();
     double *adjs = state.adjoints.data();
 
-    // The reverse sweep runs in the dispatched backend: per-chunk
-    // all-zero skip (the vector form of the scalar zero-skip) and
-    // blended adjoint updates whose masked-out lanes contribute an
-    // exact +0.0 — a bitwise no-op on accumulator rows — so the
-    // data-dependent branch structure of backpropOp is reproduced
-    // bit for bit at every width (see opk::backpropOpV).
-    simd::activeKernels().tapeBackward(program_, vals, adjs);
+    // The reverse sweep runs in the dispatched backend over the
+    // forward's live chunks: per-chunk all-zero skip (the vector form
+    // of the scalar zero-skip) and blended adjoint updates whose
+    // masked-out lanes contribute an exact +0.0 — a bitwise no-op on
+    // accumulator rows — so the data-dependent branch structure of
+    // backpropOp is reproduced bit for bit at every width (see
+    // opk::backpropOpV).
+    const size_t width = state.width;
+    simd::activeKernels().tapeBackward(program_, vals, adjs, width);
 
     const size_t varBase = program_.firstVarSlot();
     for (size_t v = 0; v < program_.numVars; ++v) {
         const double *row = &adjs[(varBase + v) * kBatchLanes];
         double *g = &input_grads[v * kBatchLanes];
-        for (size_t l = 0; l < kBatchLanes; ++l)
+        for (size_t l = 0; l < width; ++l)
             g[l] = row[l];
     }
 }

@@ -147,10 +147,11 @@ class CompiledExprs
      * All buffers are SoA rows of kBatchLanes doubles:
      * inputs[v * kBatchLanes + lane] is variable v of point `lane`,
      * outputs[k * kBatchLanes + lane] likewise. Lanes >= width are
-     * padding; the engine evaluates them on copies of lane 0 so the
-     * hot loops keep their fixed trip count, and their outputs are
-     * unspecified. Each active lane's outputs are bit-identical to a
-     * scalar forward() of the same point.
+     * padding: the sweep covers only the vector chunks that hold
+     * active lanes, padding inside those chunks runs on copies of
+     * lane 0, and the padding lanes of @p outputs are left as they
+     * were. Each active lane's outputs are bit-identical to a scalar
+     * forward() of the same point.
      *
      * @param inputs numVars() rows.
      * @param width Active lane count, 1..kBatchLanes.
@@ -168,7 +169,7 @@ class CompiledExprs
      * point.
      *
      * @param output_grads numOutputs() rows (adjoint seeds).
-     * @param input_grads Receives numVars() rows.
+     * @param input_grads Receives numVars() rows (active lanes).
      * @param state The state forwardBatch() ran on.
      */
     void backwardBatch(const double *output_grads,

@@ -1,6 +1,7 @@
 #include "optim/search.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -266,6 +267,15 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                                 static_cast<size_t>(numFeatures),
                                 context.numPenalties, options_.lambda);
 
+    // Wall time of the fused steps and of the Adam + rounding loop,
+    // summed per batch and added once per batch.
+    obs::Counter &stepMs = registry.counter("search.step_ms");
+    obs::Counter &roundingMs = registry.counter("search.rounding_ms");
+    using Clock = std::chrono::steady_clock;
+    const auto toMs = [](Clock::duration d) {
+        return std::chrono::duration<double, std::milli>(d).count();
+    };
+
     parallelFor("search.seed_batch", batches.size(), [&](size_t bi) {
         const SeedBatch &batch = batches[bi];
         const SketchContext &context = contexts_[batch.sketchIdx];
@@ -304,6 +314,7 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
         ws.inputGrads.resize(numVars * L);
         ws.laneGrad.resize(numVars);
         double scores[kBatchLanes];
+        Clock::duration stepTime{}, roundingTime{};
 
         for (int step = 0; step < options_.nSteps; ++step) {
             for (size_t l = 0; l < width; ++l)
@@ -311,14 +322,17 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                     ws.inputs[v * L + l] = y[l][v];
             // Tape forward, model score + input gradient, penalty
             // seeding, tape backward (costmodel/fused.h).
+            const Clock::time_point stepStart = Clock::now();
             fusedSteps[batch.sketchIdx].run(ws.inputs.data(), width,
                                             scores,
                                             ws.inputGrads.data(),
                                             ws.tape, ws.predict);
+            stepTime += Clock::now() - stepStart;
             for (size_t l = 0; l < width; ++l)
                 outcomes[batch.seeds[l]].visitedScores.push_back(
                     scores[l]);
 
+            const Clock::time_point roundingStart = Clock::now();
             for (size_t l = 0; l < width; ++l) {
                 SeedOutcome &outcome = outcomes[batch.seeds[l]];
                 for (size_t v = 0; v < numVars; ++v)
@@ -342,7 +356,10 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                     ++outcome.roundingInvalid;
                 }
             }
+            roundingTime += Clock::now() - roundingStart;
         }
+        stepMs.add(toMs(stepTime));
+        roundingMs.add(toMs(roundingTime));
         // The starting points are valid schedules too.
         for (size_t l = 0; l < width; ++l)
             outcomes[batch.seeds[l]].validPoints.push_back(
@@ -434,7 +451,8 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
         context.rawFeatures->forwardBatch(ws.inputs.data(), width,
                                           ws.outputs.data(), ws.tape);
         double scores[kBatchLanes];
-        model.predictBatch(ws.outputs.data(), scores, ws.predict);
+        model.predictBatch(ws.outputs.data(), width, scores,
+                           ws.predict);
         for (size_t l = 0; l < width; ++l) {
             Candidate &candidate = candidates[rb.begin + l];
             candidate.rawFeatures.resize(numFeatures);

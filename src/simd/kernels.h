@@ -2,9 +2,13 @@
  * @file
  * Runtime-dispatched SIMD kernel table for the hot SoA loops: tape
  * forward/backward (expr/compiled.cc), the blocked batched MLP
- * layer and weight-gradient kernels (costmodel/mlp.cc), and the Adam
- * parameter update
- * (optim/adam.cc, costmodel/mlp.cc).
+ * layer, mask and weight-gradient kernels (costmodel/mlp.cc), and
+ * the Adam parameter update (optim/adam.cc, costmodel/mlp.cc).
+ *
+ * The row kernels take the live-lane count of their batch and sweep
+ * only the vector chunks that hold those lanes: ceil(lanes / W)
+ * chunks, rounded up to a power of two so every body keeps a
+ * compile-time trip count. Rows keep their kBatchLanes stride.
  *
  * Every backend is the SAME templated kernel body
  * (src/simd/kernels_impl.h) instantiated against one vector type
@@ -35,27 +39,32 @@ struct KernelSet
     const char *name; ///< "scalar", "sse2", "avx2", "avx512", "neon"
 
     /** Instruction sweep of CompiledExprs::forwardBatch over the
-     *  kBatchLanes-wide SoA slot buffer. */
+     *  kBatchLanes-wide SoA slot buffer. Only the live chunks are
+     *  swept; the rest of every row is left as it was. */
     void (*tapeForward)(const expr::TapeProgram &program,
-                        double *vals);
-    /** Reverse sweep of CompiledExprs::backwardBatch (seeding and
-     *  input-gradient extraction stay with the caller). */
+                        double *vals, std::size_t lanes);
+    /** Reverse sweep of CompiledExprs::backwardBatch over the live
+     *  chunks (seeding and input-gradient extraction stay with the
+     *  caller). */
     void (*tapeBackward)(const expr::TapeProgram &program,
-                         const double *vals, double *adjs);
+                         const double *vals, double *adjs,
+                         std::size_t lanes);
 
-    /** One batched MLP layer forward: out_rows[o*L+l] from
-     *  cur[i*L+l], with ReLU when hidden. */
+    /** One batched MLP layer forward over the live chunks:
+     *  out_rows[o*L+l] from cur[i*L+l], with ReLU when hidden. Over
+     *  transposed weights and a zero bias it is also the input
+     *  gradient of a layer (Mlp::forwardInputGradStaged). */
     void (*mlpForwardLayer)(const double *weights, const double *bias,
                             int in, int out, bool hidden,
-                            const double *cur, double *out_rows);
-    /** One batched MLP layer of the input-gradient backward: fills
-     *  the masked adjoint rows madj from adj/out_acts and
-     *  accumulates prev[i*L+l] += madj[o*L+l] * w[o][i] in the
-     *  blocked scalar order (prev must arrive zeroed). */
-    void (*mlpBackwardLayer)(const double *weights, int in, int out,
-                             bool hidden, const double *out_acts,
+                            const double *cur, double *out_rows,
+                            std::size_t lanes);
+    /** The masking half of one layer's backward: madj = adj where
+     *  the layer's ReLU gate is open (out_acts > 0), +0.0 where it
+     *  is closed; a copy of adj for the linear head. */
+    void (*mlpBackwardLayer)(int out, bool hidden,
+                             const double *out_acts,
                              const double *adj, double *madj,
-                             double *prev);
+                             std::size_t lanes);
     /** One training chunk's share of a block of weight-gradient rows
      *  (Mlp::trainBatch): for every row r < rows and input i, the sum
      *  over samples s < n of madj[r*madj_stride+s] * x[s*in+i],

@@ -14,6 +14,11 @@
  * tail; the Adam and weight-gradient kernels run over arbitrary
  * lengths and finish the remainder with the identical scalar
  * formula.
+ *
+ * Live chunks: the row kernels sweep only the first C chunks of each
+ * row, where C covers the batch's live lanes (withLiveChunks). A
+ * lane's arithmetic never reads another lane, so skipping the dead
+ * chunks changes no bit of a live lane.
  */
 #ifndef FELIX_SIMD_KERNELS_IMPL_H_
 #define FELIX_SIMD_KERNELS_IMPL_H_
@@ -21,6 +26,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
+#include <utility>
 
 #include "expr/op_kernels.h"
 #include "expr/tape.h"
@@ -31,6 +38,27 @@
 
 namespace felix {
 namespace simd {
+
+/** Calls body(std::integral_constant<std::size_t, C>{}) with C the
+ *  number of V-wide chunks that hold lanes 0..lanes-1, rounded up to
+ *  a power of two and capped at the row's kBatchLanes / W. The row
+ *  kernels below are templated on C, so their trip counts stay
+ *  compile-time constants (the MLP forward sizes its accumulator
+ *  tile by C, and the tape forward forwards in registers when
+ *  C == 1), and the power-of-two rounding keeps each kernel to at
+ *  most 1 + log2(L / W) bodies per backend. */
+template <class V, std::size_t C = 1, class Body>
+inline void
+withLiveChunks(std::size_t lanes, Body &&body)
+{
+    constexpr std::size_t kRow = kBatchLanes / V::kWidth;
+    if constexpr (C < kRow) {
+        if (lanes > C * V::kWidth)
+            return withLiveChunks<V, std::min(2 * C, kRow)>(
+                lanes, std::forward<Body>(body));
+    }
+    body(std::integral_constant<std::size_t, C>{});
+}
 
 /** CompiledExprs::forwardBatch instruction sweep (SSA slots: the
  *  destination row never aliases the operand rows).
@@ -47,13 +75,12 @@ namespace simd {
  *  independent chains that overlap in the pipeline, and carrying C
  *  live registers plus per-chunk blends costs more than the reloads
  *  save, so the plain loads are kept. */
-template <class V>
+template <class V, std::size_t C>
 void
-tapeForwardT(const expr::TapeProgram &program, double *vals)
+tapeForwardC(const expr::TapeProgram &program, double *vals)
 {
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
-    constexpr std::size_t C = L / W;     // chunks per row
     constexpr bool kFwd = (C == 1);      // register-forward slot-1?
     namespace opk = expr::opk;
     std::size_t slot = program.firstOpSlot();
@@ -146,18 +173,31 @@ tapeForwardT(const expr::TapeProgram &program, double *vals)
     }
 }
 
+template <class V>
+void
+tapeForwardT(const expr::TapeProgram &program, double *vals,
+             std::size_t lanes)
+{
+    withLiveChunks<V>(lanes, [&](auto c) {
+        tapeForwardC<V, decltype(c)::value>(program, vals);
+    });
+}
+
 /** CompiledExprs::backwardBatch reverse sweep. The chunk-level
  *  all-zero skip is the vector form of the scalar per-lane zero
  *  skip: skipping a chunk whose adjoints are all +0.0 adds nothing,
  *  and chunks with any live lane go through backpropOpV, whose
  *  blends add exact +0.0 on the dead lanes (a bitwise no-op on
- *  accumulator rows — see the kernel's comment). */
-template <class V>
+ *  accumulator rows — see the kernel's comment). The skip decides
+ *  per chunk from that chunk's lanes alone, so sweeping fewer chunks
+ *  changes no decision in the chunks that are swept. */
+template <class V, std::size_t C>
 void
-tapeBackwardT(const expr::TapeProgram &program, const double *vals,
+tapeBackwardC(const expr::TapeProgram &program, const double *vals,
               double *adjs)
 {
     constexpr std::size_t L = kBatchLanes;
+    constexpr std::size_t W = V::kWidth;
     const V zero = V::broadcast(0.0);
     for (std::size_t i = program.instrs.size(); i-- > 0;) {
         const expr::TapeInstr &instr = program.instrs[i];
@@ -180,7 +220,7 @@ tapeBackwardT(const expr::TapeProgram &program, const double *vals,
             instr.a2 >= 0
                 ? &adjs[static_cast<std::size_t>(instr.a2) * L]
                 : nullptr;
-        for (std::size_t l = 0; l < L; l += V::kWidth) {
+        for (std::size_t l = 0; l < C * W; l += W) {
             const V adj = V::load(adjRow + l);
             if (!anyLane(cne(adj, zero)))
                 continue;
@@ -194,22 +234,34 @@ tapeBackwardT(const expr::TapeProgram &program, const double *vals,
     }
 }
 
-/** Blocked batched MLP layer forward (Mlp::forwardLayerBatch): four
- *  neurons share each input-row load; per lane the accumulation
- *  order stays bias first, then inputs 0..in-1. A pass covers G of a
- *  row's C chunks, so at most 4 x 2 accumulators are live at any
- *  width: narrow backends make more passes instead of spilling a
- *  4 x C tile to the stack. Lanes are independent, so the passes
- *  change memory traffic only. */
 template <class V>
 void
-mlpForwardLayerT(const double *weights, const double *bias, int in,
+tapeBackwardT(const expr::TapeProgram &program, const double *vals,
+              double *adjs, std::size_t lanes)
+{
+    withLiveChunks<V>(lanes, [&](auto c) {
+        tapeBackwardC<V, decltype(c)::value>(program, vals, adjs);
+    });
+}
+
+/** Blocked batched MLP layer forward (Mlp::forwardLayerBatch): four
+ *  neurons share each input-row load; per lane the accumulation
+ *  order stays bias first, then inputs 0..in-1. A pass covers G of
+ *  the C live chunks, so at most 4 x 2 accumulators are live at any
+ *  width: narrow backends make more passes instead of spilling a
+ *  4 x C tile to the stack. Lanes are independent, so the passes
+ *  change memory traffic only. The tile loops are unrolled
+ *  explicitly: -O2 (the default RelWithDebInfo build) leaves them
+ *  rolled and the tile in memory, which made this kernel about 1.5x
+ *  slower than at -O3. Unrolling reorders no per-lane operation. */
+template <class V, std::size_t C>
+void
+mlpForwardLayerC(const double *weights, const double *bias, int in,
                  int out, bool hidden, const double *cur,
                  double *out_rows)
 {
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
-    constexpr std::size_t C = L / W; // chunks per row
     constexpr std::size_t G = C % 2 == 0 ? 2 : 1; // chunks per pass
     const V zero = V::broadcast(0.0);
     constexpr int kBlock = 4;
@@ -217,25 +269,31 @@ mlpForwardLayerT(const double *weights, const double *bias, int in,
     for (int ob = 0; ob < fullEnd; ob += kBlock) {
         for (std::size_t g = 0; g < C; g += G) {
             V acc[kBlock][G];
+#pragma GCC unroll 4
             for (int b = 0; b < kBlock; ++b)
+#pragma GCC unroll 2
                 for (std::size_t ch = 0; ch < G; ++ch)
                     acc[b][ch] = V::broadcast(bias[ob + b]);
             for (int i = 0; i < in; ++i) {
                 const double *curRow =
                     cur + static_cast<std::size_t>(i) * L + g * W;
+#pragma GCC unroll 4
                 for (int b = 0; b < kBlock; ++b) {
                     const V w = V::broadcast(
                         weights[static_cast<std::size_t>(ob + b) * in +
                                 i]);
+#pragma GCC unroll 2
                     for (std::size_t ch = 0; ch < G; ++ch)
                         acc[b][ch] =
                             acc[b][ch] + w * V::load(curRow + ch * W);
                 }
             }
+#pragma GCC unroll 4
             for (int b = 0; b < kBlock; ++b) {
                 double *outRow = out_rows +
                                  static_cast<std::size_t>(ob + b) * L +
                                  g * W;
+#pragma GCC unroll 2
                 for (std::size_t ch = 0; ch < G; ++ch) {
                     V a = acc[b][ch];
                     if (hidden)
@@ -268,54 +326,51 @@ mlpForwardLayerT(const double *weights, const double *bias, int in,
     }
 }
 
-/** One layer of Mlp::forwardInputGradBatch's backward: the masked
- *  adjoint rows (madj = gate ? adj : 0 BEFORE the multiplies — the
- *  -0.0 argument in mlp.cc), then the 8-neuron blocked accumulate;
- *  per (input, lane) additions run in ascending neuron order. */
 template <class V>
 void
-mlpBackwardLayerT(const double *weights, int in, int out, bool hidden,
-                  const double *out_acts, const double *adj,
-                  double *madj, double *prev)
+mlpForwardLayerT(const double *weights, const double *bias, int in,
+                 int out, bool hidden, const double *cur,
+                 double *out_rows, std::size_t lanes)
+{
+    withLiveChunks<V>(lanes, [&](auto c) {
+        mlpForwardLayerC<V, decltype(c)::value>(
+            weights, bias, in, out, hidden, cur, out_rows);
+    });
+}
+
+/** The masked adjoint rows of one MLP layer: madj = gate ? adj : 0,
+ *  selected BEFORE any multiply (the -0.0 argument in mlp.cc). The
+ *  input gradient itself is mlpForwardLayerT over the transposed
+ *  weights. */
+template <class V, std::size_t C>
+void
+mlpBackwardLayerC(int out, bool hidden, const double *out_acts,
+                  const double *adj, double *madj)
 {
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
     const V zero = V::broadcast(0.0);
     for (int o = 0; o < out; ++o) {
-        const double *outRow =
-            out_acts + static_cast<std::size_t>(o) * L;
-        const double *aRow = adj + static_cast<std::size_t>(o) * L;
-        double *mRow = madj + static_cast<std::size_t>(o) * L;
-        for (std::size_t l = 0; l < L; l += W) {
-            V a = V::load(aRow + l);
+        const std::size_t row = static_cast<std::size_t>(o) * L;
+        for (std::size_t l = 0; l < C * W; l += W) {
+            V a = V::load(adj + row + l);
             if (hidden)
-                a = select(cgt(V::load(outRow + l), zero), a, zero);
-            a.store(mRow + l);
+                a = select(cgt(V::load(out_acts + row + l), zero), a,
+                           zero);
+            a.store(madj + row + l);
         }
     }
-    constexpr int kBlock = 8;
-    for (int ob = 0; ob < out; ob += kBlock) {
-        const int oe = std::min(out, ob + kBlock);
-        for (int i = 0; i < in; ++i) {
-            double *pRow = prev + static_cast<std::size_t>(i) * L;
-            for (std::size_t l = 0; l < L; l += W) {
-                // Keeping the chunk in a register across the block
-                // changes memory traffic only; the per-lane addition
-                // order is untouched.
-                V p = V::load(pRow + l);
-                for (int o = ob; o < oe; ++o) {
-                    const V w = V::broadcast(
-                        weights[static_cast<std::size_t>(o) * in +
-                                i]);
-                    p = p + V::load(madj +
-                                    static_cast<std::size_t>(o) * L +
-                                    l) *
-                                w;
-                }
-                p.store(pRow + l);
-            }
-        }
-    }
+}
+
+template <class V>
+void
+mlpBackwardLayerT(int out, bool hidden, const double *out_acts,
+                  const double *adj, double *madj, std::size_t lanes)
+{
+    withLiveChunks<V>(lanes, [&](auto c) {
+        mlpBackwardLayerC<V, decltype(c)::value>(out, hidden, out_acts,
+                                                 adj, madj);
+    });
 }
 
 /** An NR-row x NC-vector tile of mlpWeightGradT starting at input i:

@@ -6,15 +6,18 @@
  * lockstep, with every per-point buffer laid out as rows of exactly
  * kBatchLanes doubles.
  *
- * The width is a compile-time constant so the inner lane loops have
- * a fixed trip count, and it is pinned to a multiple of 8 so every
- * row is a whole number of vector registers for every SIMD backend
- * in src/support/simd.h (scalar x1, SSE2/NEON x2, AVX2 x4,
- * AVX-512 x8) — the row loops in src/simd/kernels_impl.h therefore
- * never carry a ragged tail; ragged BATCHES (width < kBatchLanes)
- * are handled by the engines' lane-0 padding and masked seeding, and
- * arbitrary-length vectors (the Adam kernel) by a scalar remainder
- * loop. Partial batches still allocate full rows.
+ * The width is a compile-time constant and the row stride of every
+ * batched buffer, and it is pinned to a multiple of 8 so every row is
+ * a whole number of vector registers for every SIMD backend in
+ * src/support/simd.h (scalar x1, SSE2/NEON x2, AVX2 x4, AVX-512 x8)
+ * — the row loops in src/simd/kernels_impl.h therefore never carry a
+ * ragged tail. Ragged BATCHES (width < kBatchLanes) keep the full
+ * row stride, so no layout depends on the width, but the kernels
+ * sweep only the vector chunks that hold live lanes (a power-of-two
+ * chunk count, each a compile-time trip count); padding lanes inside
+ * a live chunk carry lane 0's values, and adjoint seeding is masked
+ * to the live lanes. Arbitrary-length vectors (the Adam kernel) end
+ * in a scalar remainder loop.
  *
  * kBatchLanes is deliberately a build-level constant
  * (-DFELIX_BATCH_LANES=N via the CMake cache variable) rather than

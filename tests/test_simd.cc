@@ -15,10 +15,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -254,9 +257,13 @@ TEST(SimdParity, TapeForwardBackwardEveryBackendEveryWidth)
 
 // ---------------------------------------------------------------
 // Batched MLP forward and backward (input gradient): every backend
-// vs. the scalar path, at every ragged width (padding lanes >= width
-// with copies of lane 0, the engines' own padding convention).
+// vs. the scalar path, at every ragged width. The live width goes to
+// the batched entry points and every lane at or past it holds NaN,
+// so a kernel that sweeps a chunk too few, or lets a padding lane
+// reach a live one, fails here.
 // ---------------------------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
 {
@@ -277,12 +284,10 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
                 for (size_t i = 0; i < in; ++i)
                     points[l].push_back(rng.uniform(-3.0, 3.0));
 
-            std::vector<double> x(in * L);
-            for (size_t l = 0; l < L; ++l) {
-                const auto &p = points[l < width ? l : 0];
+            std::vector<double> x(in * L, kNaN);
+            for (size_t l = 0; l < width; ++l)
                 for (size_t i = 0; i < in; ++i)
-                    x[i * L + l] = p[i];
-            }
+                    x[i * L + l] = points[l][i];
 
             std::vector<double> refY(width);
             std::vector<std::vector<double>> refDx(width);
@@ -295,10 +300,10 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
                 costmodel::MlpBatchScratch batchScratch;
                 double y[kBatchLanes];
                 std::vector<double> dx(in * L);
-                mlp.forwardInputGradBatch(x.data(), y, dx.data(),
+                mlp.forwardInputGradBatch(x.data(), width, y, dx.data(),
                                           batchScratch);
                 double yFwd[kBatchLanes];
-                mlp.forwardBatch(x.data(), yFwd, batchScratch);
+                mlp.forwardBatch(x.data(), width, yFwd, batchScratch);
                 for (size_t l = 0; l < width; ++l) {
                     EXPECT_BITEQ(y[l], refY[l])
                         << "backend " << activeBackendName()
@@ -364,8 +369,43 @@ TEST(SimdParity, MlpTrainingTrajectoryScalarVsWidestBitExact)
 // moments — on every backend, at one and four jobs, on the default
 // network and a small one, over batches that are one sample, a
 // ragged part of a chunk, one chunk, one chunk and one sample, and
-// the Felix and Ansor fine-tune sizes.
+// the Felix and Ansor fine-tune sizes. After every step, and after a
+// saveFull/loadFull round trip, the batched input gradient (which
+// runs on the cached transposed weights) must still equal the scalar
+// one (which reads the weights), so a stale cache fails here.
 // ---------------------------------------------------------------
+
+/** forwardInputGradBatch over the first kBatchLanes of @p points
+ *  (padding lanes NaN) against the scalar forwardInputGrad. */
+void
+expectInputGradMatchesScalar(const costmodel::Mlp &mlp,
+                             const std::vector<std::vector<double>> &points,
+                             const std::string &where)
+{
+    constexpr size_t L = kBatchLanes;
+    const size_t width = std::min(points.size(), L);
+    const size_t in = points.front().size();
+    std::vector<double> x(in * L, kNaN);
+    for (size_t l = 0; l < width; ++l)
+        for (size_t i = 0; i < in; ++i)
+            x[i * L + l] = points[l][i];
+    costmodel::MlpBatchScratch batchScratch;
+    double y[kBatchLanes];
+    std::vector<double> dx(in * L);
+    mlp.forwardInputGradBatch(x.data(), width, y, dx.data(),
+                              batchScratch);
+    costmodel::MlpScratch scalarScratch;
+    std::vector<double> refDx;
+    for (size_t l = 0; l < width; ++l) {
+        EXPECT_BITEQ(y[l],
+                     mlp.forwardInputGrad(points[l], refDx,
+                                          scalarScratch))
+            << where << " lane " << l;
+        for (size_t i = 0; i < in; ++i)
+            EXPECT_BITEQ(dx[i * L + l], refDx[i])
+                << where << " lane " << l << " input " << i;
+    }
+}
 
 TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
 {
@@ -414,19 +454,28 @@ TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
                     ASSERT_TRUE(setPreferredWidth(w));
                     setGlobalJobs(jobs);
                     costmodel::Mlp mlp = start;
-                    for (int step = 0; step < kSteps; ++step)
+                    const std::string where =
+                        std::string("backend ") + activeBackendName() +
+                        " jobs " + std::to_string(jobs) + " inputs " +
+                        std::to_string(inputs) + " batch " +
+                        std::to_string(batch);
+                    for (int step = 0; step < kSteps; ++step) {
                         EXPECT_BITEQ(
                             mlp.trainBatch(xs[step], ys[step], kLr),
                             refLoss[step])
-                            << "backend " << activeBackendName()
-                            << " jobs " << jobs << " inputs " << inputs
-                            << " batch " << batch << " step " << step;
+                            << where << " step " << step;
+                        expectInputGradMatchesScalar(
+                            mlp, xs[step],
+                            where + " step " + std::to_string(step));
+                    }
                     std::ostringstream state;
                     mlp.saveFull(state);
                     EXPECT_TRUE(state.str() == refState)
-                        << "saved state differs: backend "
-                        << activeBackendName() << " jobs " << jobs
-                        << " inputs " << inputs << " batch " << batch;
+                        << "saved state differs: " << where;
+                    std::istringstream reload(state.str());
+                    expectInputGradMatchesScalar(
+                        costmodel::Mlp::loadFull(reload), xs.back(),
+                        where + " after loadFull");
                 }
             }
         }
@@ -534,7 +583,7 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
             compiled.forwardBatch(inputs.data(), width,
                                   outputs.data(), refState);
             model.predictTransformedWithGradBatch(
-                outputs.data(), refScores, modelGrads.data(),
+                outputs.data(), width, refScores, modelGrads.data(),
                 refPredict);
             for (size_t k = 0; k < kFeatures; ++k)
                 for (size_t l = 0; l < width; ++l)

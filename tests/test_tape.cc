@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "autodiff/gradcheck.h"
 #include "costmodel/cost_model.h"
@@ -385,10 +386,10 @@ TEST(BatchParity, MlpMatchesScalarPerLane)
             v = rng.uniform(-3.0, 3.0);
         double y[kBatchLanes];
         std::vector<double> dx(in * L);
-        mlp.forwardInputGradBatch(x.data(), y, dx.data(),
+        mlp.forwardInputGradBatch(x.data(), L, y, dx.data(),
                                   batchScratch);
         double yFwd[kBatchLanes];
-        mlp.forwardBatch(x.data(), yFwd, batchScratch);
+        mlp.forwardBatch(x.data(), L, yFwd, batchScratch);
 
         for (size_t l = 0; l < L; ++l) {
             std::vector<double> point(in);
@@ -424,25 +425,34 @@ TEST(BatchParity, CostModelBatchMatchesScalarPerLane)
     costmodel::CostModel model(config, 99);
     model.fit(samples, /*epochs=*/2, /*batch=*/16, /*lr=*/1e-3);
 
+    // Each live width in turn, with every lane at or past it NaN:
+    // only the live lanes may be read, and they must match the
+    // scalar path bit for bit.
     constexpr size_t L = kBatchLanes;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
     costmodel::PredictScratch scratch;
-    for (int trial = 0; trial < 30; ++trial) {
-        std::vector<double> raw(dim * L);
-        for (double &v : raw)
-            v = rng.uniform(0.5, 1e6);
+    for (int trial = 0; trial < 3 * static_cast<int>(L); ++trial) {
+        const size_t width = 1 + static_cast<size_t>(trial) % L;
+        std::vector<double> raw(dim * L, nan);
+        std::vector<double> transformed(dim * L, nan);
+        for (size_t i = 0; i < dim; ++i) {
+            for (size_t l = 0; l < width; ++l) {
+                raw[i * L + l] = rng.uniform(0.5, 1e6);
+                transformed[i * L + l] =
+                    costmodel::CostModel::inputTransform(
+                        raw[i * L + l]);
+            }
+        }
         double scores[kBatchLanes];
-        model.predictBatch(raw.data(), scores, scratch);
+        model.predictBatch(raw.data(), width, scores, scratch);
 
-        std::vector<double> transformed(dim * L);
-        for (size_t i = 0; i < dim * L; ++i)
-            transformed[i] = costmodel::CostModel::inputTransform(
-                raw[i]);
         double gradScores[kBatchLanes];
         std::vector<double> grads(dim * L);
-        model.predictTransformedWithGradBatch(
-            transformed.data(), gradScores, grads.data(), scratch);
+        model.predictTransformedWithGradBatch(transformed.data(),
+                                              width, gradScores,
+                                              grads.data(), scratch);
 
-        for (size_t l = 0; l < L; ++l) {
+        for (size_t l = 0; l < width; ++l) {
             std::vector<double> point(dim), pointT(dim);
             for (size_t i = 0; i < dim; ++i) {
                 point[i] = raw[i * L + l];

@@ -14,8 +14,9 @@
  * rounding, cost-model prediction error against the measurements,
  * and the fine-tune loss trajectory; from a serve log: requests per
  * op (count / response bytes / wall time), the cache hit rate, and
- * background rounds run; from the final metrics snapshot: every
- * counter and gauge.
+ * background rounds run; from the final metrics snapshot: the
+ * descent's live lanes per seed batch, time per seed-step and per
+ * rounding attempt, then every counter and gauge.
  *
  * Exits non-zero when a file fails to parse — the ctest smoke tests
  * use this as the telemetry-format validator.
@@ -56,6 +57,41 @@ readFile(const std::string &path, std::string &out)
     ss << is.rdbuf();
     out = ss.str();
     return true;
+}
+
+/**
+ * The descent's own account of itself, from the final snapshot's
+ * counters: live lanes per seed batch, and the wall time of the fused
+ * steps and of the Adam + rounding loop per unit of work. Prints
+ * nothing for runs without a gradient-search round.
+ */
+void
+printSearchBlock(const obs::JsonValue &snapshot)
+{
+    const obs::JsonValue *counters = snapshot.find("counters");
+    if (!counters || !counters->isObject())
+        return;
+    const double batches = counters->numberOr("search.seed_batches", 0.0);
+    if (batches <= 0.0)
+        return;
+    const double seeds = counters->numberOr("search.seeds", 0.0);
+    const double steps = counters->numberOr("search.adam_steps", 0.0);
+    const double attempts =
+        counters->numberOr("search.rounding_attempts", 0.0);
+    const double stepMs = counters->numberOr("search.step_ms", 0.0);
+    const double roundingMs =
+        counters->numberOr("search.rounding_ms", 0.0);
+    std::printf("\nsearch (final metrics snapshot):\n");
+    std::printf("  live lanes / batch  : %.2f (%.0f seeds in %.0f "
+                "batches)\n",
+                seeds / batches, seeds, batches);
+    if (steps > 0.0)
+        std::printf("  us per seed-step    : %.1f (fused step)\n",
+                    1000.0 * stepMs / steps);
+    if (attempts > 0.0)
+        std::printf("  us per rounding     : %.1f (Adam + "
+                    "roundToValid)\n",
+                    1000.0 * roundingMs / attempts);
 }
 
 int
@@ -347,6 +383,9 @@ summarizeRounds(const std::string &path)
             }
         }
     }
+
+    if (haveSnapshot)
+        printSearchBlock(snapshotValue);
 
     if (haveSnapshot) {
         std::printf("\nfinal metrics snapshot:\n");
