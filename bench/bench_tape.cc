@@ -6,10 +6,11 @@
  * forward+backward, plus the batched MLP kernels the points feed and
  * the Adam parameter update, one cost-model fine-tune step at the
  * batch sizes a round trains on, and the end-to-end surrogate descent
- * step (grad_search_step: scalar reference, unfused batch, and the
+ * step (grad_search_step: the scalar chain of one point, and the
  * fused step production runs — at full width, and at the 8 and 3
  * live lanes a seed batch holds in production, once more with the
- * per-lane rounding to a valid schedule). Every batched benchmark
+ * per-lane rounding to a valid schedule). The batched series call
+ * the entry points the fused step runs. Every batched benchmark
  * runs once per available SIMD backend (scalar fallback, SSE2, AVX2,
  * AVX-512 — whatever this build and CPU support), so one run shows
  * the whole width sweep. Instruction counts before/after the tape
@@ -36,8 +37,7 @@
 #include "features/features.h"
 #include "obs/json.h"
 #include "optim/adam.h"
-#include "rewrite/smoothing.h"
-#include "rewrite/transforms.h"
+#include "optim/search.h"
 #include "simd/kernels.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
@@ -77,9 +77,9 @@ featureTape()
 }
 
 /**
- * The smoothed log-space descent tape, built exactly the way the
- * gradient search builds its objective (gradient-safe optimizer
- * passes only).
+ * The smoothed log-space descent tape: the gradient search's
+ * objective (optim::objectiveOutputs) without the constraint
+ * outputs, gradient-safe optimizer passes only.
  */
 const expr::CompiledExprs &
 objectiveTape()
@@ -87,17 +87,11 @@ objectiveTape()
     static const expr::CompiledExprs compiled = [] {
         const auto &sched = denseSketch();
         auto names = varNames(sched);
-        std::vector<expr::Expr> outputs;
-        for (const expr::Expr &feature :
-             features::extractFeatures(sched.program)) {
-            expr::Expr smooth = rewrite::makeSmooth(
-                feature, rewrite::Kernel::Algebraic);
-            expr::Expr logged = rewrite::logExpand(smooth);
-            logged = rewrite::expSubstituteVars(logged, names);
-            outputs.push_back(rewrite::smoothMax0(
-                logged, rewrite::Kernel::Algebraic));
-        }
-        return expr::CompiledExprs(outputs, names);
+        return expr::CompiledExprs(
+            optim::objectiveOutputs(
+                features::extractFeatures(sched.program), {}, names,
+                optim::GradSearchOptions{}),
+            names);
     }();
     return compiled;
 }
@@ -201,14 +195,18 @@ BM_TapeForwardBackwardBatch(benchmark::State &state)
     constexpr size_t L = kBatchLanes;
     auto inputs = samplePoints(tape, true);
     expr::BatchEvalState evalState;
-    std::vector<double> outputs(tape.numOutputs() * L);
-    std::vector<double> seeds(tape.numOutputs() * L, 1.0);
     std::vector<double> grads(tape.numVars() * L);
     for (auto _ : state) {
-        tape.forwardBatch(inputs.data(), L, outputs.data(),
-                          evalState);
-        tape.backwardBatch(seeds.data(), grads.data(), evalState);
+        tape.forwardBatchKeep(inputs.data(), L, evalState);
+        tape.beginBackwardBatch(evalState);
+        for (size_t k = 0; k < tape.numOutputs(); ++k) {
+            double *adj = tape.outputAdjRowPtr(k, evalState);
+            for (size_t l = 0; l < L; ++l)
+                adj[l] += 1.0;
+        }
+        tape.finishBackwardBatch(grads.data(), evalState);
         benchmark::DoNotOptimize(grads.data());
+        benchmark::ClobberMemory();
     }
     reportTapeCounters(state, tape, static_cast<double>(L));
 }
@@ -268,10 +266,11 @@ BM_MlpInputGradBatch(benchmark::State &state)
     for (double &v : x)
         v = rng.uniform(-2.0, 2.0);
     double y[kBatchLanes];
-    std::vector<double> dx(82 * L);
     for (auto _ : state) {
-        mlp.forwardInputGradBatch(x.data(), L, y, dx.data(), scratch);
-        benchmark::DoNotOptimize(dx.data());
+        std::copy(x.begin(), x.end(), mlp.stageInputRows(scratch));
+        mlp.forwardInputGradStaged(L, y, scratch);
+        benchmark::DoNotOptimize(mlp.inputGradRows(scratch));
+        benchmark::ClobberMemory();
     }
     state.counters["points_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
@@ -392,8 +391,8 @@ BM_GradSearchStepScalar(benchmark::State &state)
 }
 
 void
-gradSearchStepBatchImpl(benchmark::State &state, bool fused,
-                        size_t width, bool round)
+gradSearchStepBatchImpl(benchmark::State &state, size_t width,
+                        bool round)
 {
     static const sketch::ConstraintChecker checker(denseSketch());
     const auto &tape = objectiveTape();
@@ -408,9 +407,6 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
                                   /*numPenalties=*/0,
                                   /*lambda=*/10.0);
     std::vector<double> inputs = init;
-    std::vector<double> outputs(numFeatures * L);
-    std::vector<double> outputGrads(numFeatures * L);
-    std::vector<double> modelGrads(numFeatures * L);
     std::vector<double> inputGrads(numVars * L);
     std::vector<double> laneGrad(numVars), yLane(numVars);
     double scores[kBatchLanes];
@@ -422,24 +418,8 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
     for (auto _ : state) {
         if ((iter++ & 127) == 0)
             inputs = init;
-        if (fused) {
-            step.run(inputs.data(), width, scores, inputGrads.data(),
-                     evalState, predict);
-        } else {
-            tape.forwardBatch(inputs.data(), width, outputs.data(),
-                              evalState);
-            model.predictTransformedWithGradBatch(
-                outputs.data(), width, scores, modelGrads.data(),
-                predict);
-            std::fill(outputGrads.begin(), outputGrads.end(), 0.0);
-            for (size_t k = 0; k < numFeatures; ++k) {
-                const size_t row = k * L;
-                for (size_t l = 0; l < L; ++l)
-                    outputGrads[row + l] = -modelGrads[row + l];
-            }
-            tape.backwardBatch(outputGrads.data(), inputGrads.data(),
-                               evalState);
-        }
+        step.run(inputs.data(), width, scores, inputGrads.data(),
+                 evalState, predict);
         for (size_t l = 0; l < width; ++l) {
             for (size_t v = 0; v < numVars; ++v) {
                 yLane[v] = inputs[v * L + l];
@@ -563,23 +543,20 @@ main(int argc, char **argv)
     registerScalarEngine("grad_search_step/scalar",
                          BM_GradSearchStepScalar);
     // Full width, then the 8 and 3 live lanes a seed batch holds in
-    // production (arguments: fused, live lanes, round to valid).
+    // production (arguments: live lanes, round to valid).
     using State = benchmark::State;
-    registerWidthVariants("grad_search_step/batch", [](State &st) {
-        gradSearchStepBatchImpl(st, false, kBatchLanes, false);
-    });
     registerWidthVariants("grad_search_step/fused", [](State &st) {
-        gradSearchStepBatchImpl(st, true, kBatchLanes, false);
+        gradSearchStepBatchImpl(st, kBatchLanes, false);
     });
     registerWidthVariants("grad_search_step/fused/w8", [](State &st) {
-        gradSearchStepBatchImpl(st, true, 8, false);
+        gradSearchStepBatchImpl(st, 8, false);
     });
     registerWidthVariants("grad_search_step/fused/w3", [](State &st) {
-        gradSearchStepBatchImpl(st, true, 3, false);
+        gradSearchStepBatchImpl(st, 3, false);
     });
     registerWidthVariants("grad_search_step/fused_round/w3",
                           [](State &st) {
-                              gradSearchStepBatchImpl(st, true, 3, true);
+                              gradSearchStepBatchImpl(st, 3, true);
                           });
 
     return bench::runSuite(

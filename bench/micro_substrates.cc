@@ -14,7 +14,6 @@
 #include "expr/compiled.h"
 #include "features/features.h"
 #include "optim/search.h"
-#include "rewrite/transforms.h"
 #include "sim/gpu_model.h"
 #include "sketch/sampling.h"
 #include "tir/ops.h"
@@ -65,11 +64,14 @@ BENCHMARK(BM_FeatureExtraction);
 void
 BM_SmoothingPipeline(benchmark::State &state)
 {
+    // The descent objective's rewrites of one feature formula.
     const auto &sched = denseSketch();
     auto names = varNames(sched);
-    auto raw = features::extractFeatures(sched.program);
+    const std::vector<expr::Expr> first = {
+        features::extractFeatures(sched.program)[0]};
+    const optim::GradSearchOptions options;
     for (auto _ : state) {
-        auto out = rewrite::featurePipeline(raw[0], names);
+        auto out = optim::objectiveOutputs(first, {}, names, options);
         benchmark::DoNotOptimize(out);
     }
 }
@@ -96,10 +98,11 @@ BM_TapeForwardBackward(benchmark::State &state)
 {
     const auto &sched = denseSketch();
     auto names = varNames(sched);
-    std::vector<expr::Expr> outputs;
-    for (const auto &f : features::extractFeatures(sched.program))
-        outputs.push_back(rewrite::featurePipeline(f, names));
-    expr::CompiledExprs tape(outputs, names);
+    expr::CompiledExprs tape(
+        optim::objectiveOutputs(features::extractFeatures(sched.program),
+                                sched.constraints, names,
+                                optim::GradSearchOptions{}),
+        names);
     std::vector<double> x(names.size(), 1.0);
     std::vector<double> out, seed, grads;
     for (auto _ : state) {
@@ -115,9 +118,10 @@ void
 BM_SampleValid(benchmark::State &state)
 {
     const auto &sched = denseSketch();
+    sketch::ConstraintChecker checker(sched);
     Rng rng(1);
     for (auto _ : state) {
-        auto x = sketch::sampleValid(sched, rng);
+        auto x = sketch::sampleValid(sched, rng, checker);
         benchmark::DoNotOptimize(x);
     }
 }

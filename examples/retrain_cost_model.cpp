@@ -66,10 +66,11 @@ main(int argc, char **argv)
             names.push_back(domain.name);
         expr::CompiledExprs tape(
             features::extractFeatures(sched.program), names);
+        const sketch::ConstraintChecker checker(sched);
         for (int i = 0; i < 32; ++i) {
             costmodel::Sample sample;
             sample.rawFeatures =
-                tape.eval(sketch::sampleValid(sched, rng));
+                tape.eval(sketch::sampleValid(sched, rng, checker));
             sample.latencySec =
                 sim::measureKernel(sample.rawFeatures, device, i);
             fresh.push_back(std::move(sample));

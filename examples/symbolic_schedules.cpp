@@ -13,8 +13,8 @@
 
 #include "expr/compiled.h"
 #include "features/features.h"
+#include "optim/search.h"
 #include "rewrite/smoothing.h"
-#include "rewrite/transforms.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
 #include "tir/ops.h"
@@ -67,10 +67,11 @@ main()
                 rewrite::isSmooth(features[intAdd]) ? "yes" : "no",
                 rewrite::isSmooth(smooth) ? "yes" : "no");
 
-    // Full pipeline: smooth -> log expand -> x = e^y substitution.
-    expr::Expr pipelined =
-        rewrite::featurePipeline(features[intAdd], names);
-    expr::CompiledExprs tape({pipelined}, names);
+    // The descent objective's model input: smooth -> log expand ->
+    // x = e^y substitution -> smooth max(., 0).
+    std::vector<expr::Expr> pipelined = optim::objectiveOutputs(
+        {features[intAdd]}, {}, names, optim::GradSearchOptions{});
+    expr::CompiledExprs tape(pipelined, names);
     std::vector<double> y(names.size(), std::log(4.0));
     std::vector<double> out, grads;
     tape.forward(y, out);
@@ -82,17 +83,20 @@ main()
         std::printf(" %s=%.4f", names[i].c_str(), grads[i]);
     std::printf("\n\n");
 
-    // Constraints and validity: sample, round, validate.
+    // Constraints and validity: sample, round, validate, all against
+    // one compiled constraint checker.
+    const sketch::ConstraintChecker checker(sched);
     Rng rng(1);
-    auto x = sketch::sampleValid(sched, rng);
+    auto x = sketch::sampleValid(sched, rng, checker);
     std::printf("random valid schedule:");
     for (size_t i = 0; i < x.size(); ++i)
         std::printf(" %s=%g", names[i].c_str(), x[i]);
     std::printf("\nvalid? %s\n",
-                sketch::isValidAssignment(sched, x) ? "yes" : "no");
+                sketch::isValidAssignment(sched, x, checker) ? "yes"
+                                                             : "no");
 
     std::vector<double> offGrid(y.size(), std::log(5.7));
-    auto rounded = sketch::roundToValid(sched, offGrid);
+    auto rounded = sketch::roundToValid(sched, offGrid, checker);
     if (rounded) {
         std::printf("relaxed point e^y = 5.7 rounds to:");
         for (size_t i = 0; i < rounded->size(); ++i)

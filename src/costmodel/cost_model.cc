@@ -239,37 +239,6 @@ CostModel::predictBatch(const double *raw, size_t width,
         scores[l] = targetMean_ + y[l];
 }
 
-void
-CostModel::predictTransformedWithGradBatch(
-    const double *transformed, size_t width, double *scores,
-    double *grads, PredictScratch &scratch) const
-{
-    FELIX_CHECK(scaler_.fitted(), "cost model not fitted");
-    constexpr size_t L = kBatchLanes;
-    const size_t dim = scaler_.means().size();
-    const double *means = scaler_.means().data();
-    const double *stds = scaler_.stddevs().data();
-    std::vector<double> &scaled = scratch.scaled;
-    scaled.resize(dim * L);
-    for (size_t i = 0; i < dim; ++i) {
-        const double *in = &transformed[i * L];
-        double *out = &scaled[i * L];
-        for (size_t l = 0; l < width; ++l)
-            out[l] = (in[l] - means[i]) / stds[i];
-    }
-    double y[L];
-    mlp_.forwardInputGradBatch(scaled.data(), width, y, grads,
-                               scratch.mlp);
-    // Chain through standardization: d/dz = d/dz' / sigma.
-    for (size_t i = 0; i < dim; ++i) {
-        double *g = &grads[i * L];
-        for (size_t l = 0; l < width; ++l)
-            g[l] /= stds[i];
-    }
-    for (size_t l = 0; l < width; ++l)
-        scores[l] = targetMean_ + y[l];
-}
-
 ModelMetrics
 CostModel::validate(const std::vector<Sample> &samples) const
 {

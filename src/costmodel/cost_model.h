@@ -124,21 +124,11 @@ class CostModel
     void predictBatch(const double *raw, size_t width, double *scores,
                       PredictScratch &scratch) const;
 
-    /**
-     * Batched predictTransformedWithGrad() over the first @p width
-     * lanes: scores is one row, grads is inputSize rows of
-     * d(score)/d(transformed feature). Per lane bit-identical to the
-     * scalar overload.
-     */
-    void predictTransformedWithGradBatch(const double *transformed,
-                                         size_t width, double *scores,
-                                         double *grads,
-                                         PredictScratch &scratch) const;
-
     // ----- Fused-step accessors (costmodel/fused.h) --------------
     // FusedGradStep runs the model's pieces (standardization, MLP,
-    // target centering) inline between the two tape sweeps; these
-    // expose exactly what predictTransformedWithGradBatch combines.
+    // target centering) inline between the two tape sweeps, per lane
+    // the same arithmetic predictTransformedWithGrad() runs on one
+    // point; these expose them.
     const Mlp &mlp() const { return mlp_; }
     const Scaler &scaler() const { return scaler_; }
     double targetMean() const { return targetMean_; }

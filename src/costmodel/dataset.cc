@@ -166,8 +166,9 @@ synthesizeDataset(const sim::DeviceConfig &device,
             auto formulas = features::extractFeatures(sched.program);
             expr::CompiledExprs compiled(formulas, names);
             expr::EvalState state;
+            const sketch::ConstraintChecker checker(sched);
             for (int i = 0; i < options.schedulesPerSketch; ++i) {
-                auto x = sketch::sampleValid(sched, subRng);
+                auto x = sketch::sampleValid(sched, subRng, checker);
                 Sample sample;
                 sample.rawFeatures = compiled.eval(x, state);
                 sample.latencySec = sim::measureKernel(

@@ -40,11 +40,9 @@ FusedGradStep::run(const double *inputs, size_t width,
     objective_.forwardBatchKeep(inputs, width, tape);
 
     // Standardize the feature rows straight out of the tape's slot
-    // buffer into the network's input rows — the unfused path's
-    // outputs/scaled copies collapse into this one pass, same
-    // per-lane arithmetic (cost_model.cc
-    // predictTransformedWithGradBatch). Every stage from here on
-    // sweeps only the live lanes' vector chunks.
+    // buffer into the network's input rows, per lane the arithmetic
+    // of Scaler::apply. Every stage from here on sweeps only the
+    // live lanes' vector chunks.
     double *xRows = mlp.stageInputRows(scratch.mlp);
     for (size_t k = 0; k < numFeatures_; ++k) {
         const double *in = objective_.outputRowPtr(k, tape);
@@ -58,11 +56,10 @@ FusedGradStep::run(const double *inputs, size_t width,
     for (size_t l = 0; l < width; ++l)
         scores[l] = model_.targetMean() + y[l];
 
-    // Seed the tape adjoints directly from the MLP gradient rows.
-    // Unfused: grads /= sigma, outputGrads = -grads, adjoint += seed
-    // — three passes. Here: adjoint += -(grad / sigma), the same
-    // operations on the same values in the same order (the adjoint
-    // rows were just zeroed, so += is the identical accumulation).
+    // Seed the tape adjoints directly from the MLP gradient rows:
+    // adjoint += -(grad / sigma), per lane the scalar chain's
+    // grad /= sigma, seed = -grad, adjoint += seed (the adjoint rows
+    // were just zeroed, so += is the identical accumulation).
     objective_.beginBackwardBatch(tape);
     const double *gRows = mlp.inputGradRows(scratch.mlp);
     for (size_t k = 0; k < numFeatures_; ++k) {
@@ -72,9 +69,9 @@ FusedGradStep::run(const double *inputs, size_t width,
             adj[l] += -(g[l] / stds[k]);
     }
     // Penalty seeds: lambda * d(p^2)/dp for violated constraints.
-    // The unfused path writes an explicit 0.0 for satisfied ones and
-    // adds it — a bitwise no-op on the zeroed rows — so skipping the
-    // add entirely is bit-identical.
+    // A zero seed for a satisfied one would add +0.0 — a bitwise
+    // no-op on the zeroed rows — so skipping the add is
+    // bit-identical.
     for (size_t p = 0; p < numPenalties_; ++p) {
         const double *out =
             objective_.outputRowPtr(numFeatures_ + p, tape);

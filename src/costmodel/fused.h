@@ -3,28 +3,26 @@
  * The fused surrogate gradient step (one round-step of Felix's
  * descent, Algorithm 1 lines 15-18, as a single blocked pass).
  *
- * Chaining the engines' public batched entry points (forwardBatch,
- * predictTransformedWithGradBatch, backwardBatch) materializes three
- * full feature matrices per step: tape outputs copied out of the SoA
- * slot buffer, scaled copies staged for the MLP, and the MLP input
- * gradient copied back into an adjoint-seed matrix for the tape.
  * FusedGradStep, the only descent step GradientSearch::round runs,
- * chains the same four stages — tape forward, MLP forward, MLP input
- * gradient, tape backward — through the engines' internal SoA rows
- * instead:
+ * chains four stages — tape forward, MLP forward, MLP input
+ * gradient, tape backward — through the engines' SoA rows, so no
+ * feature matrix is copied between them:
  *
  *   tape forwardBatchKeep        (outputs stay in the slot buffer)
  *     -> standardize rows straight into Mlp::stageInputRows
  *     -> Mlp::forwardInputGradStaged (grad stays in MLP scratch)
  *     -> seed tape adjoints straight from the MLP gradient rows
- *   tape finishBackwardBatch     (input grads out, as before)
+ *   tape finishBackwardBatch     (input grads out)
  *
- * Bit-exactness: every arithmetic operation, in the same order, on
- * the same values as the unfused sequence — the only eliminated work
- * is copies (and the penalty seed's "+= 0.0" writes, which are
- * bitwise no-ops on the freshly zeroed adjoint rows).
- * tests/test_simd.cc asserts fused == unfused per lane, bit for bit,
- * at every width on every backend.
+ * Bit-exactness: per lane, every arithmetic operation runs in the
+ * same order on the same values as the scalar chain of one point —
+ * CompiledExprs::forward, CostModel::predictTransformedWithGrad,
+ * seeds -g and lambda * 2 * v for every violated constraint v > 0,
+ * CompiledExprs::backward. The only work left out is the scalar
+ * chain's zero seeds for satisfied constraints, whose "+= 0.0" is a
+ * bitwise no-op on the freshly zeroed adjoint rows.
+ * tests/test_simd.cc asserts fused == scalar chain per lane, bit for
+ * bit, at every width on every backend.
  */
 #ifndef FELIX_COSTMODEL_FUSED_H_
 #define FELIX_COSTMODEL_FUSED_H_

@@ -268,21 +268,6 @@ Mlp::forwardInputGradStaged(size_t width, double *y,
     }
 }
 
-void
-Mlp::forwardInputGradBatch(const double *x, size_t width, double *y,
-                           double *dx, MlpBatchScratch &scratch) const
-{
-    constexpr size_t L = kBatchLanes;
-    const size_t inRows = static_cast<size_t>(inputSize()) * L;
-    double *rows = stageInputRows(scratch);
-    std::copy(x, x + inRows, rows);
-    forwardInputGradStaged(width, y, scratch);
-    const double *g = inputGradRows(scratch);
-    for (size_t row = 0; row < inRows; row += L)
-        for (size_t l = 0; l < width; ++l)
-            dx[row + l] = g[row + l];
-}
-
 double
 Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                 const std::vector<double> &ys, double lr)
@@ -450,31 +435,6 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
     for (double chunk : chunkLoss)
         loss += chunk;
     return loss / static_cast<double>(batch);
-}
-
-double
-Mlp::evaluate(const std::vector<std::vector<double>> &xs,
-              const std::vector<double> &ys) const
-{
-    FELIX_CHECK(xs.size() == ys.size());
-    if (xs.empty())
-        return 0.0;
-    constexpr size_t kChunk = 16;
-    std::vector<double> chunkLoss((xs.size() + kChunk - 1) / kChunk,
-                                  0.0);
-    parallelForChunks("costmodel.evaluate_chunk", xs.size(), kChunk,
-                      [&](size_t begin, size_t end) {
-                          double local = 0.0;
-                          for (size_t i = begin; i < end; ++i) {
-                              double err = forward(xs[i]) - ys[i];
-                              local += err * err;
-                          }
-                          chunkLoss[begin / kChunk] = local;
-                      });
-    double loss = 0.0;
-    for (double l : chunkLoss)
-        loss += l;
-    return loss / static_cast<double>(xs.size());
 }
 
 void

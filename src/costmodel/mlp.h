@@ -111,32 +111,25 @@ class Mlp
     void forwardBatch(const double *x, size_t width, double *y,
                       MlpBatchScratch &scratch) const;
 
-    /**
-     * Batched forward plus input gradient over the first @p width
-     * lanes: y is one row of scores, dx is inputSize() rows of
-     * d(score)/d(input). Per lane bit-identical to
-     * forwardInputGrad().
-     */
-    void forwardInputGradBatch(const double *x, size_t width,
-                               double *y, double *dx,
-                               MlpBatchScratch &scratch) const;
-
-    // ----- Staged entry points (costmodel/fused.h) ---------------
+    // ----- Staged input gradient (costmodel/fused.h) -------------
     //
     // The fused surrogate step writes features straight into the
     // network's input rows and reads the input gradient straight out
-    // of the adjoint rows, skipping the x/dx round-trips of
-    // forwardInputGradBatch (which is implemented on top of these,
-    // so both paths run the identical kernel sequence bit for bit).
+    // of the adjoint rows, so neither is copied:
+    //
+    //   stageInputRows(scratch)        // fill inputSize() rows
+    //   forwardInputGradStaged(...)    // scores + input gradient
+    //   inputGradRows(scratch)         // read inputSize() rows
 
     /** The input rows (inputSize() x kBatchLanes) to fill before
      *  forwardInputGradStaged(). Sized on first use. */
     double *stageInputRows(MlpBatchScratch &scratch) const;
 
-    /** forwardInputGradBatch over the first @p width lanes, reading
-     *  inputs from stageInputRows() and leaving the input-gradient
-     *  rows in @p scratch (read them via inputGradRows()). y is one
-     *  row of scores. */
+    /** Batched forward plus input gradient over the first @p width
+     *  lanes (1..kBatchLanes), reading inputs from stageInputRows()
+     *  and leaving d(score)/d(input) rows in @p scratch (read them
+     *  via inputGradRows()). y is one row of scores. Per lane
+     *  bit-identical to forwardInputGrad(). */
     void forwardInputGradStaged(size_t width, double *y,
                                 MlpBatchScratch &scratch) const;
 
@@ -153,10 +146,6 @@ class Mlp
      */
     double trainBatch(const std::vector<std::vector<double>> &xs,
                       const std::vector<double> &ys, double lr);
-
-    /** Mean squared error over a dataset (no update). */
-    double evaluate(const std::vector<std::vector<double>> &xs,
-                    const std::vector<double> &ys) const;
 
     void save(std::ostream &os) const;
     static Mlp load(std::istream &is);

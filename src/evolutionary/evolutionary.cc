@@ -83,8 +83,9 @@ EvolutionarySearch::randomIndividual(Rng &rng) const
     Individual individual;
     individual.sketchIndex =
         static_cast<int>(rng.index(contexts_.size()));
-    individual.x = sketch::sampleValid(
-        *contexts_[individual.sketchIndex].sched, rng);
+    const SketchContext &context = contexts_[individual.sketchIndex];
+    individual.x =
+        sketch::sampleValid(*context.sched, rng, *context.checker);
     return individual;
 }
 

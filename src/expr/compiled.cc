@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
-#include "expr/op_kernels.h"
 #include "obs/metrics.h"
 #include "simd/kernels.h"
 #include "support/logging.h"
@@ -80,16 +78,7 @@ CompiledExprs::forward(const std::vector<double> &inputs,
     std::vector<double> &values = state.values;
     std::copy(inputs.begin(), inputs.end(),
               values.begin() + program_.firstVarSlot());
-    size_t slot = program_.firstOpSlot();
-    for (const TapeInstr &instr : program_.instrs) {
-        double args[3] = {0, 0, 0};
-        args[0] = values[instr.a0];
-        if (instr.a1 >= 0)
-            args[1] = values[instr.a1];
-        if (instr.a2 >= 0)
-            args[2] = values[instr.a2];
-        values[slot++] = opk::evalOpInline(instr.op, args);
-    }
+    programForward(program_, values.data());
     outputs.resize(program_.outputSlots.size());
     for (size_t k = 0; k < program_.outputSlots.size(); ++k)
         outputs[k] = values[program_.outputSlots[k]];
@@ -115,20 +104,7 @@ CompiledExprs::backward(const std::vector<double> &output_grads,
     for (size_t k = 0; k < program_.outputSlots.size(); ++k)
         adjoints[program_.outputSlots[k]] += output_grads[k];
 
-    double dummy = 0.0;
-    for (size_t i = program_.instrs.size(); i-- > 0;) {
-        const TapeInstr &instr = program_.instrs[i];
-        size_t slot = program_.firstOpSlot() + i;
-        double adj = adjoints[slot];
-        if (adj == 0.0)
-            continue;
-        double a0 = values[instr.a0];
-        double a1 = instr.a1 >= 0 ? values[instr.a1] : 0.0;
-        opk::backpropOp(instr.op, adj, values[slot], a0, a1,
-                        &adjoints[instr.a0],
-                        instr.a1 >= 0 ? &adjoints[instr.a1] : &dummy,
-                        instr.a2 >= 0 ? &adjoints[instr.a2] : &dummy);
-    }
+    programBackward(program_, values.data(), adjoints.data());
     // Variable adjoints accumulate via += from +0.0 and can never
     // become -0.0, so a plain copy reproduces the historical
     // "+= only when nonzero" extraction bit for bit.
@@ -218,9 +194,9 @@ void
 CompiledExprs::beginBackwardBatch(BatchEvalState &state) const
 {
     FELIX_CHECK(!program_.forwardOnly,
-                "backwardBatch() on a tape compiled forward-only");
+                "beginBackwardBatch() on a tape compiled forward-only");
     FELIX_CHECK(state.forwardDone && state.boundTape == tapeId_,
-                "backwardBatch() before forwardBatch()");
+                "beginBackwardBatch() before forwardBatch()");
     state.adjoints.assign(program_.numSlots() * kBatchLanes, 0.0);
 }
 
@@ -258,26 +234,6 @@ CompiledExprs::finishBackwardBatch(double *input_grads,
     }
 }
 
-void
-CompiledExprs::backwardBatch(const double *output_grads,
-                             double *input_grads,
-                             BatchEvalState &state) const
-{
-    beginBackwardBatch(state);
-    const size_t width = state.width;
-
-    // Seed active lanes only; padding lanes keep zero adjoints, so
-    // the per-lane zero-skip in the sweep short-circuits their work.
-    for (size_t k = 0; k < program_.outputSlots.size(); ++k) {
-        double *row = outputAdjRowPtr(k, state);
-        const double *g = &output_grads[k * kBatchLanes];
-        for (size_t l = 0; l < width; ++l)
-            row[l] += g[l];
-    }
-
-    finishBackwardBatch(input_grads, state);
-}
-
 std::vector<double>
 CompiledExprs::eval(const std::vector<double> &inputs,
                     EvalState &state) const
@@ -305,21 +261,6 @@ std::vector<double>
 CompiledExprs::eval(const std::vector<double> &inputs)
 {
     return eval(inputs, state_);
-}
-
-double
-evalExpr(const Expr &e,
-         const std::unordered_map<std::string, double> &env)
-{
-    CompiledExprs compiled({e});
-    std::vector<double> inputs;
-    inputs.reserve(compiled.numVars());
-    for (const std::string &name : compiled.varNames()) {
-        auto it = env.find(name);
-        FELIX_CHECK(it != env.end(), "missing value for variable ", name);
-        inputs.push_back(it->second);
-    }
-    return compiled.eval(inputs)[0];
 }
 
 } // namespace expr

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "expr/expr.h"
@@ -161,28 +160,11 @@ class CompiledExprs
     void forwardBatch(const double *inputs, size_t width,
                       double *outputs, BatchEvalState &state) const;
 
-    /**
-     * Batched reverse sweep over the values of the last
-     * forwardBatch() on @p state. Seeds lanes >= width with zero
-     * adjoints, so padding contributes nothing. Each active lane's
-     * gradients are bit-identical to a scalar backward() of the same
-     * point.
-     *
-     * @param output_grads numOutputs() rows (adjoint seeds).
-     * @param input_grads Receives numVars() rows (active lanes).
-     * @param state The state forwardBatch() ran on.
-     */
-    void backwardBatch(const double *output_grads,
-                       double *input_grads,
-                       BatchEvalState &state) const;
-
-    // ----- Fused-step entry points (costmodel/fused.h) -----------
+    // ----- Reverse sweep (costmodel/fused.h) ---------------------
     //
-    // forwardBatch/backwardBatch round-trip every output row through
-    // caller-owned buffers. The fused surrogate step instead reads
-    // tape outputs and seeds adjoints directly inside the SoA slot
-    // buffers, keeping the 82-feature rows resident in L1 between
-    // the tape and the MLP. These split entry points expose that:
+    // The fused surrogate step reads tape outputs and seeds adjoints
+    // directly inside the SoA slot buffers, keeping the 82-feature
+    // rows resident in L1 between the tape and the MLP:
     //
     //   forwardBatchKeep(...);             // sweep, no output copy
     //   ... read outputRowPtr(k, state) rows in place ...
@@ -190,8 +172,7 @@ class CompiledExprs
     //   ... accumulate into outputAdjRowPtr(k, state) rows ...
     //   finishBackwardBatch(grads, state); // reverse sweep + copy
     //
-    // forwardBatch/backwardBatch are these plus the copies, so both
-    // paths execute the identical kernel sequence bit for bit.
+    // forwardBatch is forwardBatchKeep plus the output copy.
 
     /** forwardBatch without materializing the outputs; read them via
      *  outputRowPtr(). */
@@ -204,16 +185,18 @@ class CompiledExprs
                                const BatchEvalState &state) const;
 
     /** Zero the adjoint buffer ahead of seeding. Call after a
-     *  forward on @p state, then accumulate seeds into
-     *  outputAdjRowPtr() rows (active lanes only, exactly like the
-     *  output_grads contract of backwardBatch). */
+     *  forward on @p state, then accumulate seeds into the active
+     *  lanes of outputAdjRowPtr() rows; padding lanes keep zero
+     *  adjoints, so they contribute nothing. */
     void beginBackwardBatch(BatchEvalState &state) const;
 
     /** Adjoint-seed row of output @p k (after beginBackwardBatch). */
     double *outputAdjRowPtr(size_t k, BatchEvalState &state) const;
 
     /** Reverse sweep over the seeded adjoints; writes numVars() rows
-     *  of input gradients, exactly like backwardBatch. */
+     *  of input gradients (active lanes only). Each active lane's
+     *  gradients are bit-identical to a scalar backward() of the
+     *  same point and seeds. */
     void finishBackwardBatch(double *input_grads,
                              BatchEvalState &state) const;
 
@@ -238,14 +221,6 @@ class CompiledExprs
     uint64_t tapeId_;   ///< process-unique, guards state rebinding
     EvalState state_;   ///< backs the stateless overloads only
 };
-
-/**
- * Evaluate a single expression at a variable assignment. Convenience
- * wrapper for tests and one-off evaluations (compiles a throwaway
- * tape; use CompiledExprs directly in hot loops).
- */
-double evalExpr(const Expr &e,
-                const std::unordered_map<std::string, double> &env);
 
 } // namespace expr
 } // namespace felix

@@ -347,88 +347,8 @@ optimizeTape(const RawTape &raw, bool forward_only, TapeOptStats *stats)
 }
 
 void
-rawForward(const RawTape &tape, const std::vector<double> &inputs,
-           std::vector<double> &values, std::vector<double> &outputs)
+programForward(const TapeProgram &program, double *values)
 {
-    FELIX_CHECK(inputs.size() == tape.numVars,
-                "rawForward: expected ", tape.numVars, " inputs");
-    values.resize(tape.instrs.size());
-    for (size_t i = 0; i < tape.instrs.size(); ++i) {
-        const RawInstr &instr = tape.instrs[i];
-        switch (instr.op) {
-          case OpCode::ConstOp:
-            values[i] = instr.payload;
-            break;
-          case OpCode::VarOp:
-            values[i] = inputs[static_cast<size_t>(instr.payload)];
-            break;
-          default: {
-            double args[3] = {0, 0, 0};
-            args[0] = values[instr.a0];
-            if (instr.a1 >= 0)
-                args[1] = values[instr.a1];
-            if (instr.a2 >= 0)
-                args[2] = values[instr.a2];
-            values[i] = opk::evalOpInline(instr.op, args);
-            break;
-          }
-        }
-    }
-    outputs.resize(tape.outputSlots.size());
-    for (size_t k = 0; k < tape.outputSlots.size(); ++k)
-        outputs[k] = values[tape.outputSlots[k]];
-}
-
-void
-rawBackward(const RawTape &tape, const std::vector<double> &values,
-            const std::vector<double> &output_grads,
-            std::vector<double> &input_grads)
-{
-    FELIX_CHECK(values.size() == tape.instrs.size(),
-                "rawBackward: run rawForward first");
-    FELIX_CHECK(output_grads.size() == tape.outputSlots.size(),
-                "rawBackward: expected ", tape.outputSlots.size(),
-                " output grads");
-    std::vector<double> adjoints(tape.instrs.size(), 0.0);
-    for (size_t k = 0; k < tape.outputSlots.size(); ++k)
-        adjoints[tape.outputSlots[k]] += output_grads[k];
-    input_grads.assign(tape.numVars, 0.0);
-
-    double dummy = 0.0;
-    for (size_t idx = tape.instrs.size(); idx-- > 0;) {
-        const RawInstr &instr = tape.instrs[idx];
-        double adj = adjoints[idx];
-        if (adj == 0.0)
-            continue;
-        if (instr.op == OpCode::ConstOp)
-            continue;
-        if (instr.op == OpCode::VarOp) {
-            input_grads[static_cast<size_t>(instr.payload)] += adj;
-            continue;
-        }
-        double a0 = values[instr.a0];
-        double a1 = instr.a1 >= 0 ? values[instr.a1] : 0.0;
-        opk::backpropOp(instr.op, adj, values[idx], a0, a1,
-                        &adjoints[instr.a0],
-                        instr.a1 >= 0 ? &adjoints[instr.a1] : &dummy,
-                        instr.a2 >= 0 ? &adjoints[instr.a2] : &dummy);
-    }
-}
-
-void
-programForward(const TapeProgram &program,
-               const std::vector<double> &inputs,
-               std::vector<double> &values,
-               std::vector<double> &outputs)
-{
-    FELIX_CHECK(inputs.size() == program.numVars,
-                "programForward: expected ", program.numVars,
-                " inputs");
-    values.assign(program.numSlots(), 0.0);
-    std::copy(program.constants.begin(), program.constants.end(),
-              values.begin());
-    std::copy(inputs.begin(), inputs.end(),
-              values.begin() + program.firstVarSlot());
     size_t slot = program.firstOpSlot();
     for (const TapeInstr &instr : program.instrs) {
         double args[3] = {0, 0, 0};
@@ -439,28 +359,12 @@ programForward(const TapeProgram &program,
             args[2] = values[instr.a2];
         values[slot++] = opk::evalOpInline(instr.op, args);
     }
-    outputs.resize(program.outputSlots.size());
-    for (size_t k = 0; k < program.outputSlots.size(); ++k)
-        outputs[k] = values[program.outputSlots[k]];
 }
 
 void
-programBackward(const TapeProgram &program,
-                const std::vector<double> &values,
-                const std::vector<double> &output_grads,
-                std::vector<double> &input_grads)
+programBackward(const TapeProgram &program, const double *values,
+                double *adjoints)
 {
-    FELIX_CHECK(!program.forwardOnly,
-                "programBackward on a forward-only tape");
-    FELIX_CHECK(values.size() == program.numSlots(),
-                "programBackward: run programForward first");
-    FELIX_CHECK(output_grads.size() == program.outputSlots.size(),
-                "programBackward: expected ",
-                program.outputSlots.size(), " output grads");
-    std::vector<double> adjoints(program.numSlots(), 0.0);
-    for (size_t k = 0; k < program.outputSlots.size(); ++k)
-        adjoints[program.outputSlots[k]] += output_grads[k];
-
     double dummy = 0.0;
     for (size_t i = program.instrs.size(); i-- > 0;) {
         const TapeInstr &instr = program.instrs[i];
@@ -475,14 +379,6 @@ programBackward(const TapeProgram &program,
                         instr.a1 >= 0 ? &adjoints[instr.a1] : &dummy,
                         instr.a2 >= 0 ? &adjoints[instr.a2] : &dummy);
     }
-    // Adjoint slots accumulate via += from +0.0, which can never
-    // produce -0.0, so a plain copy reproduces the historical
-    // "+= only when nonzero" extraction bit for bit.
-    input_grads.resize(program.numVars);
-    std::copy(adjoints.begin() + program.firstVarSlot(),
-              adjoints.begin() + program.firstVarSlot() +
-                  program.numVars,
-              input_grads.begin());
 }
 
 } // namespace expr

@@ -128,24 +128,25 @@ RawTape buildRawTape(const std::vector<Expr> &roots,
 TapeProgram optimizeTape(const RawTape &raw, bool forward_only,
                          TapeOptStats *stats = nullptr);
 
-// Reference interpreters over the two formats. These execute the
-// same op kernels as the production engine (expr/op_kernels.h) and
-// exist so tests can compare raw vs. optimized execution bit for
-// bit; hot paths use CompiledExprs.
-void rawForward(const RawTape &tape, const std::vector<double> &inputs,
-                std::vector<double> &values,
-                std::vector<double> &outputs);
-void rawBackward(const RawTape &tape, const std::vector<double> &values,
-                 const std::vector<double> &output_grads,
-                 std::vector<double> &input_grads);
-void programForward(const TapeProgram &program,
-                    const std::vector<double> &inputs,
-                    std::vector<double> &values,
-                    std::vector<double> &outputs);
-void programBackward(const TapeProgram &program,
-                     const std::vector<double> &values,
-                     const std::vector<double> &output_grads,
-                     std::vector<double> &input_grads);
+/**
+ * The scalar interpreter's forward sweep: @p values holds numSlots()
+ * entries whose constant and variable slots are filled; every
+ * instruction slot is written, in order. CompiledExprs::forward runs
+ * it per point, and the SIMD row kernels (src/simd/) are
+ * bit-identical to it per lane.
+ */
+void programForward(const TapeProgram &program, double *values);
+
+/**
+ * The matching reverse sweep over the values of programForward():
+ * @p adjoints holds numSlots() entries, zero except the seeds on the
+ * output slots. Every operand's adjoint accumulates, so the variable
+ * slots end up holding d(seeded outputs)/d(input). Instructions
+ * whose adjoint is zero are skipped. Not valid on a forward-only
+ * program.
+ */
+void programBackward(const TapeProgram &program, const double *values,
+                     double *adjoints);
 
 } // namespace expr
 } // namespace felix

@@ -110,6 +110,38 @@ generateSketchesTimed(const tir::SubgraphDef &subgraph,
     return sketches;
 }
 
+std::vector<Expr>
+objectiveOutputs(const std::vector<Expr> &raw_features,
+                 const std::vector<Expr> &constraints,
+                 const std::vector<std::string> &var_names,
+                 const GradSearchOptions &options)
+{
+    std::vector<Expr> outputs;
+    outputs.reserve(raw_features.size() + constraints.size());
+    for (const Expr &f : raw_features) {
+        Expr base = options.applySmoothing
+                        ? rewrite::makeSmooth(f, options.kernel)
+                        : f;
+        Expr logged = rewrite::logExpand(base);
+        if (options.applyLogExp)
+            logged = rewrite::expSubstituteVars(logged, var_names);
+        outputs.push_back(options.applySmoothing
+                              ? rewrite::smoothMax0(logged,
+                                                    options.kernel)
+                              : expr::max(logged,
+                                          Expr::constant(0.0)));
+    }
+    for (const Expr &g : constraints) {
+        Expr smooth = options.applySmoothing
+                          ? rewrite::makeSmooth(g, options.kernel)
+                          : g;
+        if (options.applyLogExp)
+            smooth = rewrite::expSubstituteVars(smooth, var_names);
+        outputs.push_back(smooth);
+    }
+    return outputs;
+}
+
 GradientSearch::GradientSearch(const tir::SubgraphDef &subgraph,
                                GradSearchOptions options)
     : options_(std::move(options)),
@@ -138,40 +170,12 @@ GradientSearch::GradientSearch(const tir::SubgraphDef &subgraph,
         context.rawFeatures = std::make_unique<expr::CompiledExprs>(
             raw, context.varNames, /*forward_only=*/true);
 
-        // Differentiable objective tape: smoothed model inputs
-        // log(max(f,1)) composed with the e^y substitution, plus the
-        // smoothed legality constraints g_ir(e^y). The ablation
-        // knobs can disable either rewrite stage.
-        std::vector<Expr> outputs;
-        outputs.reserve(raw.size() + sched.constraints.size());
-        for (const Expr &f : raw) {
-            Expr base = options_.applySmoothing
-                            ? rewrite::makeSmooth(f, options_.kernel)
-                            : f;
-            Expr logged = rewrite::logExpand(base);
-            if (options_.applyLogExp) {
-                logged = rewrite::expSubstituteVars(
-                    logged, context.varNames);
-            }
-            outputs.push_back(options_.applySmoothing
-                                  ? rewrite::smoothMax0(
-                                        logged, options_.kernel)
-                                  : expr::max(logged,
-                                              Expr::constant(0.0)));
-        }
-        for (const Expr &g : sched.constraints) {
-            Expr smooth = options_.applySmoothing
-                              ? rewrite::makeSmooth(g, options_.kernel)
-                              : g;
-            if (options_.applyLogExp) {
-                smooth = rewrite::expSubstituteVars(
-                    smooth, context.varNames);
-            }
-            outputs.push_back(smooth);
-        }
-        context.numPenalties = sched.constraints.size();
+        // The differentiable objective tape.
         context.objective = std::make_unique<expr::CompiledExprs>(
-            outputs, context.varNames);
+            objectiveOutputs(raw, sched.constraints, context.varNames,
+                             options_),
+            context.varNames);
+        context.numPenalties = sched.constraints.size();
         context.checker =
             std::make_unique<sketch::ConstraintChecker>(sched);
         contexts_[si] = std::move(context);
@@ -298,7 +302,8 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                 bestMeasured_.sketchIndex == batch.sketchIdx) {
                 x0[l] = bestMeasured_.x;
             } else {
-                x0[l] = sketch::sampleValid(*context.sched, seedRng);
+                x0[l] = sketch::sampleValid(*context.sched, seedRng,
+                                            *context.checker);
             }
             y[l].resize(numVars);
             for (size_t i = 0; i < numVars; ++i) {

@@ -21,6 +21,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -156,6 +157,27 @@ struct GradSearchOptions
     bool applyLogExp = true;
 };
 
+/**
+ * The outputs of a sketch's descent objective tape, in order: one
+ * smoothed model input per raw feature formula — log(max(f, 1)) of
+ * the smoothed formula with x = e^y substituted, as
+ * smoothMax0(logExpand(makeSmooth(f))) — then one smoothed legality
+ * constraint g(e^y) per constraint. FusedGradStep scores the first
+ * raw_features.size() outputs with the cost model and penalizes the
+ * rest; the ablation knobs in @p options drop either rewrite stage.
+ * GradientSearch compiles one such tape per sketch.
+ *
+ * @param raw_features The sketch's feature formulas
+ *        (features::extractFeatures of its program), x space.
+ * @param constraints The sketch's constraints g(x) <= 0.
+ * @param var_names The sketch's variables (substituted by e^y).
+ */
+std::vector<expr::Expr>
+objectiveOutputs(const std::vector<expr::Expr> &raw_features,
+                 const std::vector<expr::Expr> &constraints,
+                 const std::vector<std::string> &var_names,
+                 const GradSearchOptions &options);
+
 /** Felix's gradient-descent schedule search for one subgraph. */
 class GradientSearch : public SearchStrategy
 {
@@ -187,7 +209,8 @@ class GradientSearch : public SearchStrategy
     {
         const sketch::SymbolicSchedule *sched = nullptr;
         std::vector<std::string> varNames;
-        /** Tape: 82 smoothed model-input formulas + penalty g's. */
+        /** Tape of objectiveOutputs(): 82 smoothed model inputs +
+         *  penalty g's. */
         std::unique_ptr<expr::CompiledExprs> objective;
         /** Tape: 82 exact x-space feature formulas. */
         std::unique_ptr<expr::CompiledExprs> rawFeatures;

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "rewrite/smoothing.h"
 #include "support/logging.h"
 
 namespace felix {
@@ -137,22 +136,6 @@ expSubstituteVars(const Expr &root, const std::vector<std::string> &vars)
     for (const std::string &name : vars)
         map.emplace_back(name, expr::exp(Expr::var(name)));
     return expr::substitute(root, map);
-}
-
-Expr
-penalty(const Expr &g)
-{
-    Expr clipped = expr::max(g, Expr::constant(0.0));
-    return clipped * clipped;
-}
-
-Expr
-featurePipeline(const Expr &raw_feature,
-                const std::vector<std::string> &vars)
-{
-    Expr smooth = makeSmooth(raw_feature);
-    Expr logged = logExpand(smooth);
-    return expSubstituteVars(logged, vars);
 }
 
 } // namespace rewrite

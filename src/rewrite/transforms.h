@@ -1,8 +1,6 @@
 /**
  * @file
- * Gradient-stability rewrites (paper §3.3, "Gradient stability") and
- * constraint-to-penalty lowering (§3.3, "Constraint penalty
- * functions").
+ * Gradient-stability rewrites (paper §3.3, "Gradient stability").
  *
  * Program features grow multiplicatively (float_add ~ N*M*K can hit
  * 1e9), which makes gradients vanish. Felix (1) takes the logarithm
@@ -10,7 +8,8 @@
  * where positivity is provable, and (2) substitutes x = e^y for each
  * schedule variable so the optimizer works in log space. Together
  * the two rewrites turn multiplicative formulas into additive ones
- * with linear growth.
+ * with linear growth. optim::objectiveOutputs composes them with the
+ * smoothing rewriter into the objective gradient descent runs.
  */
 #ifndef FELIX_REWRITE_TRANSFORMS_H_
 #define FELIX_REWRITE_TRANSFORMS_H_
@@ -52,21 +51,6 @@ expr::Expr logExpand(const expr::Expr &feature);
  */
 expr::Expr expSubstituteVars(const expr::Expr &root,
                              const std::vector<std::string> &vars);
-
-/**
- * Penalty function for a constraint g <= 0: max(g, 0)^2.
- *
- * This is already C^1 (derivative 2*max(g,0)), so it is used as-is
- * rather than smoothed — matching the paper's Eqn. 4.
- */
-expr::Expr penalty(const expr::Expr &g);
-
-/**
- * The full Felix feature pipeline for one formula:
- * smooth -> log-expand -> e^y substitution.
- */
-expr::Expr featurePipeline(const expr::Expr &raw_feature,
-                           const std::vector<std::string> &vars);
 
 } // namespace rewrite
 } // namespace felix

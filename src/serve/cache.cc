@@ -96,15 +96,5 @@ ScheduleCache::persist(const std::string &records_path)
     return batch.size();
 }
 
-std::vector<const CacheEntry *>
-ScheduleCache::entriesInOrder() const
-{
-    std::vector<const CacheEntry *> out;
-    out.reserve(entries_.size());
-    for (const CacheEntry &entry : entries_)
-        out.push_back(&entry);
-    return out;
-}
-
 } // namespace serve
 } // namespace felix

@@ -68,9 +68,6 @@ class ScheduleCache
 
     size_t size() const { return entries_.size(); }
 
-    /** All entries in insertion order (deterministic iteration). */
-    std::vector<const CacheEntry *> entriesInOrder() const;
-
   private:
     std::unordered_map<uint64_t, size_t> index_;
     std::vector<CacheEntry> entries_;   ///< insertion-ordered

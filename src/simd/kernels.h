@@ -43,9 +43,9 @@ struct KernelSet
      *  swept; the rest of every row is left as it was. */
     void (*tapeForward)(const expr::TapeProgram &program,
                         double *vals, std::size_t lanes);
-    /** Reverse sweep of CompiledExprs::backwardBatch over the live
-     *  chunks (seeding and input-gradient extraction stay with the
-     *  caller). */
+    /** Reverse sweep of CompiledExprs::finishBackwardBatch over
+     *  the live chunks (seeding and input-gradient extraction stay
+     *  with the caller). */
     void (*tapeBackward)(const expr::TapeProgram &program,
                          const double *vals, double *adjs,
                          std::size_t lanes);

@@ -183,7 +183,7 @@ tapeForwardT(const expr::TapeProgram &program, double *vals,
     });
 }
 
-/** CompiledExprs::backwardBatch reverse sweep. The chunk-level
+/** CompiledExprs::finishBackwardBatch reverse sweep. The chunk-level
  *  all-zero skip is the vector form of the scalar per-lane zero
  *  skip: skipping a chunk whose adjoints are all +0.0 adds nothing,
  *  and chunks with any live lane go through backpropOpV, whose

@@ -10,6 +10,16 @@
 namespace felix {
 namespace sketch {
 
+namespace {
+
+/** Slack allowed on g(x) <= 0 for floating-point evaluation. */
+constexpr double kFeasibleTol = 1e-6;
+
+/** Draws sampleValid() rejects before falling back to all ones. */
+constexpr int kMaxSampleTries = 64;
+
+} // namespace
+
 ConstraintChecker::ConstraintChecker(const SymbolicSchedule &sched)
     : sched_(sched)
 {
@@ -22,10 +32,9 @@ ConstraintChecker::ConstraintChecker(const SymbolicSchedule &sched)
 }
 
 bool
-ConstraintChecker::feasible(const std::vector<double> &x,
-                            double tol) const
+ConstraintChecker::feasible(const std::vector<double> &x) const
 {
-    return maxViolation(x) <= tol;
+    return maxViolation(x) <= kFeasibleTol;
 }
 
 double
@@ -61,9 +70,9 @@ roundFreeVar(const VarDomain &domain, double x)
 } // namespace
 
 std::vector<double>
-sampleValid(const SymbolicSchedule &sched, Rng &rng, int max_tries)
+sampleValid(const SymbolicSchedule &sched, Rng &rng,
+            const ConstraintChecker &checker)
 {
-    ConstraintChecker checker(sched);
     const size_t numVars = sched.vars.size();
 
     // Which variables belong to a split group?
@@ -73,7 +82,7 @@ sampleValid(const SymbolicSchedule &sched, Rng &rng, int max_tries)
             groupOf[vi] = static_cast<int>(g);
     }
 
-    for (int attempt = 0; attempt < max_tries; ++attempt) {
+    for (int attempt = 0; attempt < kMaxSampleTries; ++attempt) {
         std::vector<double> x(numVars, 1.0);
         // Tile factors: successive divisors of the remaining extent,
         // sampled uniformly in log space to cover the whole range.
@@ -114,11 +123,10 @@ sampleValid(const SymbolicSchedule &sched, Rng &rng, int max_tries)
     return std::vector<double>(numVars, 1.0);
 }
 
-std::optional<std::vector<double>>
-roundToValid(const SymbolicSchedule &sched, const std::vector<double> &y)
+std::vector<double>
+sampleValid(const SymbolicSchedule &sched, Rng &rng)
 {
-    ConstraintChecker checker(sched);
-    return roundToValid(sched, y, checker);
+    return sampleValid(sched, rng, ConstraintChecker(sched));
 }
 
 std::optional<std::vector<double>>
@@ -167,7 +175,8 @@ roundToValid(const SymbolicSchedule &sched, const std::vector<double> &y,
 
 bool
 isValidAssignment(const SymbolicSchedule &sched,
-                  const std::vector<double> &x)
+                  const std::vector<double> &x,
+                  const ConstraintChecker &checker)
 {
     if (x.size() != sched.vars.size())
         return false;
@@ -188,8 +197,14 @@ isValidAssignment(const SymbolicSchedule &sched,
         if (product <= 0 || group.extent % product != 0)
             return false;
     }
-    ConstraintChecker checker(sched);
     return checker.feasible(x);
+}
+
+bool
+isValidAssignment(const SymbolicSchedule &sched,
+                  const std::vector<double> &x)
+{
+    return isValidAssignment(sched, x, ConstraintChecker(sched));
 }
 
 } // namespace sketch

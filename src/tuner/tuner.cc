@@ -112,37 +112,6 @@ GraphTuner::addTask(graph::Task task)
     return static_cast<int>(tasks_.size()) - 1;
 }
 
-bool
-GraphTuner::seedBest(int task_index, int sketch_index,
-                     const std::vector<double> &schedule_vars,
-                     double latency_sec)
-{
-    if (task_index < 0 ||
-        task_index >= static_cast<int>(tasks_.size()))
-        return false;
-    TaskRecord &record = tasks_[task_index];
-    const auto &sketches = record.strategy->sketches();
-    if (sketch_index < 0 ||
-        sketch_index >= static_cast<int>(sketches.size()))
-        return false;
-    const auto &sched = sketches[sketch_index];
-    if (schedule_vars.size() != sched.vars.size())
-        return false;
-    if (!(latency_sec < record.bestLatencySec))
-        return false;
-    std::vector<std::string> names;
-    for (const auto &domain : sched.vars)
-        names.push_back(domain.name);
-    auto rawFeatures = features::concreteFeatures(
-        sched.program, names, schedule_vars);
-    record.bestLatencySec = latency_sec;
-    record.bestCandidate.sketchIndex = sketch_index;
-    record.bestCandidate.x = schedule_vars;
-    record.bestCandidate.rawFeatures = std::move(rawFeatures);
-    record.bestCandidate.predictedScore = 0.0;
-    return true;
-}
-
 double
 GraphTuner::networkLatency() const
 {

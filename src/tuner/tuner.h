@@ -213,17 +213,6 @@ class GraphTuner
      */
     void tuneTaskRound(int task_index);
 
-    /**
-     * Warm-start a task's best schedule from a replayed tuning
-     * record (no new measurement; the recorded latency is trusted —
-     * it came from the same deterministic simulator). Returns false
-     * when the record does not apply (bad sketch index, wrong
-     * variable count) or does not improve on the current best.
-     */
-    bool seedBest(int task_index, int sketch_index,
-                  const std::vector<double> &schedule_vars,
-                  double latency_sec);
-
     /** Current end-to-end network latency with the best schedules. */
     double networkLatency() const;
 

@@ -4,9 +4,9 @@
  *
  * The production gradient path in Felix is the reverse-mode tape in
  * expr::CompiledExprs (numeric adjoints, like PyTorch autograd).
- * This module provides *symbolic* derivatives — an Expr for
- * d(root)/d(var) — used to cross-check the tape in tests and to
- * inspect gradient structure in examples.
+ * This test-support module provides *symbolic* derivatives — an
+ * Expr for d(root)/d(var) — which the tests use to cross-check the
+ * tape.
  */
 #ifndef FELIX_AUTODIFF_SYMBOLIC_H_
 #define FELIX_AUTODIFF_SYMBOLIC_H_

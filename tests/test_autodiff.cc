@@ -11,6 +11,7 @@
 #include "autodiff/symbolic.h"
 #include "expr/compiled.h"
 #include "expr/expr.h"
+#include "tape_reference.h"
 
 namespace felix {
 namespace autodiff {

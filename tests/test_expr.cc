@@ -10,6 +10,7 @@
 
 #include "expr/compiled.h"
 #include "expr/expr.h"
+#include "tape_reference.h"
 
 namespace felix {
 namespace expr {

@@ -10,8 +10,7 @@
 
 #include "expr/compiled.h"
 #include "features/features.h"
-#include "rewrite/smoothing.h"
-#include "rewrite/transforms.h"
+#include "optim/search.h"
 #include "support/logging.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
@@ -240,8 +239,9 @@ TEST(Extract, AllFeaturesFiniteAcrossRandomSchedules)
 
 TEST(Pipeline, SmoothedFeaturesTrackRawOnes)
 {
-    // After smoothing + log + e^y substitution, evaluating at
-    // y = ln(x) must approximate ln(raw_feature(x)).
+    // The descent objective's model inputs (smoothing + log + e^y
+    // substitution), evaluated at y = ln(x), must approximate
+    // ln(raw_feature(x)).
     auto sketches = sketch::generateSketches(denseAdd());
     const auto &sched = sketches[1];
     std::vector<std::string> names;
@@ -249,9 +249,8 @@ TEST(Pipeline, SmoothedFeaturesTrackRawOnes)
         names.push_back(domain.name);
 
     auto raw = extractFeatures(sched.program);
-    std::vector<Expr> pipelined;
-    for (const Expr &f : raw)
-        pipelined.push_back(rewrite::featurePipeline(f, names));
+    std::vector<Expr> pipelined = optim::objectiveOutputs(
+        raw, sched.constraints, names, optim::GradSearchOptions{});
 
     std::vector<double> x(sched.vars.size(), 1.0);
     x[sched.varIndex("f_th")] = 64.0;
@@ -286,10 +285,10 @@ TEST(Pipeline, SmoothedFeaturesHaveGradients)
     for (const auto &domain : sched.vars)
         names.push_back(domain.name);
     auto raw = extractFeatures(sched.program);
-    std::vector<Expr> pipelined;
-    for (const Expr &f : raw)
-        pipelined.push_back(rewrite::featurePipeline(f, names));
-    expr::CompiledExprs compiled(pipelined, names);
+    expr::CompiledExprs compiled(
+        optim::objectiveOutputs(raw, sched.constraints, names,
+                                optim::GradSearchOptions{}),
+        names);
 
     std::vector<double> y(names.size(), std::log(4.0));
     std::vector<double> out, grads;

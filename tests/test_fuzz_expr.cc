@@ -14,6 +14,7 @@
 #include "expr/compiled.h"
 #include "expr/expr.h"
 #include "support/rng.h"
+#include "tape_reference.h"
 
 namespace felix {
 namespace expr {

@@ -5,14 +5,19 @@
  * program whose loop structure conserves the iteration domain, whose
  * features are finite/exact, and whose sampled schedules are valid;
  * the simulator must respect basic physical bounds on all of them.
+ * Rounding must also yield legal schedules on every network's tasks.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "expr/compiled.h"
 #include "features/features.h"
-#include "rewrite/transforms.h"
+#include "graph/graph.h"
+#include "models/models.h"
+#include "optim/search.h"
 #include "sim/gpu_model.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
@@ -198,7 +203,7 @@ TEST_P(ShapeSweep, FeaturesFiniteAndNonNegative)
     }
 }
 
-/** The smoothed pipeline stays finite-differentiable everywhere. */
+/** The descent objective stays finite-differentiable everywhere. */
 TEST_P(ShapeSweep, SmoothedObjectiveHasFiniteGradients)
 {
     const Shape &sh = shape();
@@ -208,10 +213,10 @@ TEST_P(ShapeSweep, SmoothedObjectiveHasFiniteGradients)
     for (const auto &domain : sched.vars)
         names.push_back(domain.name);
     auto raw = features::extractFeatures(sched.program);
-    std::vector<expr::Expr> outputs;
-    for (const auto &f : raw)
-        outputs.push_back(rewrite::featurePipeline(f, names));
-    expr::CompiledExprs compiled(outputs, names);
+    expr::CompiledExprs compiled(
+        optim::objectiveOutputs(raw, sched.constraints, names,
+                                optim::GradSearchOptions{}),
+        names);
 
     Rng rng(41);
     std::vector<double> out, grads;
@@ -253,6 +258,56 @@ TEST_P(ShapeSweep, SimulatorRespectsRooflineBounds)
             EXPECT_LT(latency, 100.0) << sh.name;
         }
     }
+}
+
+/**
+ * Rounding yields legal schedules on every sketch of every task of
+ * every evaluation network, at batch 1 and 4 (tasks deduplicated by
+ * structural hash): sampled points are valid, and every point the
+ * rounder returns for a log-space jitter of one passes the exact
+ * validity check. Sampling, rounding and validation all run against
+ * the sketch's one compiled checker, the way the search strategies
+ * hold it.
+ */
+TEST(EveryNetwork, RoundingYieldsLegalSchedules)
+{
+    constexpr int kPointsPerSketch = 64;
+    Rng rng(61);
+    std::unordered_set<uint64_t> seen;
+    size_t sketches = 0, attempts = 0, rounded = 0;
+    for (const auto &spec : models::evaluationNetworks()) {
+        for (int batch : {1, 4}) {
+            for (const auto &task : graph::partition(spec.build(batch))) {
+                if (!seen.insert(task.subgraph.structuralHash()).second)
+                    continue;
+                for (const auto &sched :
+                     sketch::generateSketches(task.subgraph)) {
+                    const sketch::ConstraintChecker checker(sched);
+                    ++sketches;
+                    for (int i = 0; i < kPointsPerSketch; ++i) {
+                        auto x = sketch::sampleValid(sched, rng, checker);
+                        ASSERT_TRUE(
+                            sketch::isValidAssignment(sched, x, checker))
+                            << spec.name << " / " << sched.desc;
+                        std::vector<double> y(x.size());
+                        for (size_t j = 0; j < x.size(); ++j)
+                            y[j] = std::log(std::max(1.0, x[j])) +
+                                   rng.normal(0.0, 0.5);
+                        ++attempts;
+                        auto out = sketch::roundToValid(sched, y, checker);
+                        if (!out)
+                            continue;
+                        ++rounded;
+                        ASSERT_TRUE(
+                            sketch::isValidAssignment(sched, *out, checker))
+                            << spec.name << " / " << sched.desc;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(sketches, 300u);
+    EXPECT_GT(rounded, attempts / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

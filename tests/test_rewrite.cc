@@ -2,7 +2,7 @@
  * @file
  * Tests for the expression rewriter: smoothing kernels, smoothing
  * rewrite rules, positivity analysis, log expansion, exponential
- * variable substitution, and penalty lowering.
+ * variable substitution, and their composition.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "expr/expr.h"
 #include "rewrite/smoothing.h"
 #include "rewrite/transforms.h"
+#include "tape_reference.h"
 
 namespace felix {
 namespace rewrite {
@@ -208,19 +209,6 @@ TEST(Positivity, PowSelectAndSqrtRules)
     EXPECT_TRUE(provablyPositive(expr::sigmoid(x - y)));
 }
 
-TEST(Penalty, CompoundConstraintChain)
-{
-    // Two-sided bound 4 <= T <= 16 as two penalties: both zero only
-    // inside the box.
-    Expr t = Expr::var("T");
-    Expr pLo = penalty(Expr::constant(4.0) - t);
-    Expr pHi = penalty(t - 16.0);
-    Expr total = pLo + pHi;
-    EXPECT_DOUBLE_EQ(evalExpr(total, {{"T", 8.0}}), 0.0);
-    EXPECT_GT(evalExpr(total, {{"T", 2.0}}), 0.0);
-    EXPECT_GT(evalExpr(total, {{"T", 20.0}}), 0.0);
-}
-
 TEST(LogExpand, ProductBecomesSum)
 {
     Expr n = Expr::var("N"), m = Expr::var("M"), k = Expr::var("K");
@@ -267,30 +255,6 @@ TEST(ExpSubstitute, ValuesInterpretedInLogSpace)
     EXPECT_NEAR(evalExpr(sub, {{"T", std::log(4.0)}}), 12.0, 1e-9);
 }
 
-TEST(Penalty, ZeroWhenSatisfiedQuadraticWhenViolated)
-{
-    Expr t = Expr::var("T");
-    // Constraint T - 8 <= 0.
-    Expr p = penalty(t - 8.0);
-    EXPECT_DOUBLE_EQ(evalExpr(p, {{"T", 5.0}}), 0.0);
-    EXPECT_DOUBLE_EQ(evalExpr(p, {{"T", 8.0}}), 0.0);
-    EXPECT_DOUBLE_EQ(evalExpr(p, {{"T", 11.0}}), 9.0);
-}
-
-TEST(Penalty, GradientPushesTowardFeasible)
-{
-    Expr t = Expr::var("T");
-    Expr p = penalty(t - 8.0);
-    expr::CompiledExprs compiled({p});
-    std::vector<double> out, grads;
-    compiled.forward({10.0}, out);
-    compiled.backward({1.0}, grads);
-    EXPECT_DOUBLE_EQ(grads[0], 4.0);   // 2*max(g,0) = 4 > 0: decrease T
-    compiled.forward({5.0}, out);
-    compiled.backward({1.0}, grads);
-    EXPECT_DOUBLE_EQ(grads[0], 0.0);   // feasible: no push
-}
-
 TEST(FeaturePipeline, EndToEndProducesSmoothAdditiveFormula)
 {
     // Paper's running example features of program p*_1 (Dense-Add):
@@ -303,7 +267,8 @@ TEST(FeaturePipeline, EndToEndProducesSmoothAdditiveFormula)
     Expr intAdd = n * m * k *
                   expr::select(expr::gt(tile, Expr::constant(1.0)),
                                Expr::constant(5.0), Expr::constant(2.0));
-    Expr out = featurePipeline(intAdd, {"TILE0"});
+    Expr out = expSubstituteVars(logExpand(makeSmooth(intAdd)),
+                                 {"TILE0"});
     EXPECT_TRUE(isSmooth(out));
 
     // At TILE0 = ln(8) (log space), the raw feature is 64^3 * 5.
@@ -318,9 +283,11 @@ TEST(FeaturePipeline, EndToEndProducesSmoothAdditiveFormula)
 TEST(FeaturePipeline, LinearGrowthInLogSpace)
 {
     // float_add = N*M*K with all three as variables: in log space the
-    // pipeline output is exactly N+M+K (linear growth, stable grads).
+    // smooth -> log-expand -> e^y composition is exactly N+M+K
+    // (linear growth, stable grads).
     Expr f = Expr::var("N") * Expr::var("M") * Expr::var("K");
-    Expr out = featurePipeline(f, {"N", "M", "K"});
+    Expr out = expSubstituteVars(logExpand(makeSmooth(f)),
+                                 {"N", "M", "K"});
     double v1 = evalExpr(out, {{"N", 1.0}, {"M", 2.0}, {"K", 3.0}});
     EXPECT_NEAR(v1, 6.0, 1e-9);
     expr::CompiledExprs compiled({out});

@@ -5,12 +5,12 @@
  * bit-identical results to the scalar fallback on every hot kernel —
  * tape forward/backward at every ragged batch width, the batched MLP
  * forward / input-gradient / training paths, the Adam update, the
- * fused surrogate gradient step against the unfused engine sequence,
- * and a full gradient-search round. Also pins the dispatch semantics
- * (availableWidths / setPreferredWidth / simd.width gauge) and
- * carries the FMA-contraction canary that fails if the build ever
- * drops -ffp-contract=off on an FMA-capable target (see the note in
- * the top-level CMakeLists.txt). Re-run under sanitizers with
+ * fused surrogate gradient step against the scalar chain of each
+ * lane, and a full gradient-search round. Also pins the dispatch
+ * semantics (availableWidths / setPreferredWidth / simd.width gauge)
+ * and carries the FMA-contraction canary that fails if the build
+ * ever drops -ffp-contract=off on an FMA-capable target (see the
+ * note in the top-level CMakeLists.txt). Re-run under sanitizers with
  * cmake -DFELIX_SANITIZE=... && ctest -L simd.
  */
 #include <gtest/gtest.h>
@@ -235,9 +235,15 @@ TEST(SimdParity, TapeForwardBackwardEveryBackendEveryWidth)
                 std::vector<double> inputGrads(numVars * L);
                 compiled.forwardBatch(inputs.data(), width,
                                       outputs.data(), batchState);
-                compiled.backwardBatch(outputGrads.data(),
-                                       inputGrads.data(),
-                                       batchState);
+                compiled.beginBackwardBatch(batchState);
+                for (size_t k = 0; k < numOutputs; ++k) {
+                    double *adj =
+                        compiled.outputAdjRowPtr(k, batchState);
+                    for (size_t l = 0; l < width; ++l)
+                        adj[l] += outputGrads[k * L + l];
+                }
+                compiled.finishBackwardBatch(inputGrads.data(),
+                                             batchState);
                 for (size_t l = 0; l < width; ++l) {
                     for (size_t k = 0; k < numOutputs; ++k)
                         EXPECT_BITEQ(outputs[k * L + l],
@@ -298,12 +304,13 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
             for (int w : widths) {
                 ASSERT_TRUE(setPreferredWidth(w));
                 costmodel::MlpBatchScratch batchScratch;
-                double y[kBatchLanes];
-                std::vector<double> dx(in * L);
-                mlp.forwardInputGradBatch(x.data(), width, y, dx.data(),
-                                          batchScratch);
                 double yFwd[kBatchLanes];
                 mlp.forwardBatch(x.data(), width, yFwd, batchScratch);
+                double y[kBatchLanes];
+                std::copy(x.begin(), x.end(),
+                          mlp.stageInputRows(batchScratch));
+                mlp.forwardInputGradStaged(width, y, batchScratch);
+                const double *dx = mlp.inputGradRows(batchScratch);
                 for (size_t l = 0; l < width; ++l) {
                     EXPECT_BITEQ(y[l], refY[l])
                         << "backend " << activeBackendName()
@@ -375,8 +382,9 @@ TEST(SimdParity, MlpTrainingTrajectoryScalarVsWidestBitExact)
 // one (which reads the weights), so a stale cache fails here.
 // ---------------------------------------------------------------
 
-/** forwardInputGradBatch over the first kBatchLanes of @p points
- *  (padding lanes NaN) against the scalar forwardInputGrad. */
+/** The staged batched input gradient over the first kBatchLanes of
+ *  @p points (padding lanes NaN) against the scalar
+ *  forwardInputGrad. */
 void
 expectInputGradMatchesScalar(const costmodel::Mlp &mlp,
                              const std::vector<std::vector<double>> &points,
@@ -391,9 +399,9 @@ expectInputGradMatchesScalar(const costmodel::Mlp &mlp,
             x[i * L + l] = points[l][i];
     costmodel::MlpBatchScratch batchScratch;
     double y[kBatchLanes];
-    std::vector<double> dx(in * L);
-    mlp.forwardInputGradBatch(x.data(), width, y, dx.data(),
-                              batchScratch);
+    std::copy(x.begin(), x.end(), mlp.stageInputRows(batchScratch));
+    mlp.forwardInputGradStaged(width, y, batchScratch);
+    const double *dx = mlp.inputGradRows(batchScratch);
     costmodel::MlpScratch scalarScratch;
     std::vector<double> refDx;
     for (size_t l = 0; l < width; ++l) {
@@ -524,9 +532,13 @@ TEST(SimdParity, AdamStepEveryBackendBitExact)
 }
 
 // ---------------------------------------------------------------
-// Fused step vs the unfused reference sequence: same tape, same
-// model, every backend, every ragged width. The tape has deliberate
-// penalty outputs so the conditional penalty seeding is exercised.
+// Fused step vs the scalar chain of each lane: same tape, same
+// model, every backend, every ragged width. The chain is
+// CompiledExprs::forward, CostModel::predictTransformedWithGrad,
+// seeds -g on the features and lambda * 2 * v on every violated
+// penalty v > 0, then CompiledExprs::backward. The tape has
+// deliberate penalty outputs so the conditional penalty seeding is
+// exercised, and every input lane at or past the live width is NaN.
 // ---------------------------------------------------------------
 
 TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
@@ -567,37 +579,14 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
     for (int w : widths) {
         ASSERT_TRUE(setPreferredWidth(w));
         for (size_t width = 1; width <= L; ++width) {
-            std::vector<double> inputs(numVars * L);
-            for (double &v : inputs)
-                v = rng.uniform(-2.0, 2.0);
-
-            // Unfused reference: the public batched entry points in
-            // the order FusedGradStep chains them.
-            expr::BatchEvalState refState;
-            costmodel::PredictScratch refPredict;
-            std::vector<double> outputs((kFeatures + kPenalties) * L);
-            std::vector<double> outputGrads(outputs.size(), 0.0);
-            std::vector<double> modelGrads(kFeatures * L);
-            std::vector<double> refGrads(numVars * L);
-            double refScores[kBatchLanes];
-            compiled.forwardBatch(inputs.data(), width,
-                                  outputs.data(), refState);
-            model.predictTransformedWithGradBatch(
-                outputs.data(), width, refScores, modelGrads.data(),
-                refPredict);
-            for (size_t k = 0; k < kFeatures; ++k)
-                for (size_t l = 0; l < width; ++l)
-                    outputGrads[k * L + l] = -modelGrads[k * L + l];
-            for (size_t p = 0; p < kPenalties; ++p) {
-                const size_t row = (kFeatures + p) * L;
-                for (size_t l = 0; l < width; ++l) {
-                    const double g = outputs[row + l];
-                    if (g > 0.0)
-                        outputGrads[row + l] = lambda * 2.0 * g;
+            std::vector<std::vector<double>> points(width);
+            std::vector<double> inputs(numVars * L, kNaN);
+            for (size_t l = 0; l < width; ++l) {
+                for (size_t v = 0; v < numVars; ++v) {
+                    points[l].push_back(rng.uniform(-2.0, 2.0));
+                    inputs[v * L + l] = points[l][v];
                 }
             }
-            compiled.backwardBatch(outputGrads.data(),
-                                   refGrads.data(), refState);
 
             expr::BatchEvalState fusedState;
             costmodel::PredictScratch fusedPredict;
@@ -606,13 +595,30 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
             fused.run(inputs.data(), width, fusedScores,
                       fusedGrads.data(), fusedState, fusedPredict);
 
+            expr::EvalState scalarState;
             for (size_t l = 0; l < width; ++l) {
-                EXPECT_BITEQ(fusedScores[l], refScores[l])
+                std::vector<double> outputs, modelGrad, grads;
+                compiled.forward(points[l], outputs, scalarState);
+                const std::vector<double> features(
+                    outputs.begin(), outputs.begin() + kFeatures);
+                const double score =
+                    model.predictTransformedWithGrad(features,
+                                                     modelGrad);
+                std::vector<double> seeds(outputs.size(), 0.0);
+                for (size_t k = 0; k < kFeatures; ++k)
+                    seeds[k] = -modelGrad[k];
+                for (size_t p = 0; p < kPenalties; ++p) {
+                    const double v = outputs[kFeatures + p];
+                    if (v > 0.0)
+                        seeds[kFeatures + p] = lambda * 2.0 * v;
+                }
+                compiled.backward(seeds, grads, scalarState);
+
+                EXPECT_BITEQ(fusedScores[l], score)
                     << "backend " << activeBackendName() << " width "
                     << width << " lane " << l;
                 for (size_t v = 0; v < numVars; ++v)
-                    EXPECT_BITEQ(fusedGrads[v * L + l],
-                                 refGrads[v * L + l])
+                    EXPECT_BITEQ(fusedGrads[v * L + l], grads[v])
                         << "backend " << activeBackendName()
                         << " width " << width << " lane " << l;
             }

@@ -257,7 +257,7 @@ TEST(Rounding, SnapsToDivisorsInLogSpace)
     std::vector<double> y(sched.vars.size(), 0.0);
     int fTh = sched.varIndex("f_th");
     y[fTh] = std::log(100.0);    // near 128 in log space? 64 vs 128
-    auto rounded = roundToValid(sched, y);
+    auto rounded = roundToValid(sched, y, ConstraintChecker(sched));
     ASSERT_TRUE(rounded.has_value());
     double v = (*rounded)[fTh];
     // 100 must snap to a divisor of 256*256.
@@ -277,7 +277,7 @@ TEST(Rounding, InfeasibleResourceReturnsNullopt)
     std::vector<double> y(full.vars.size(), 0.0);
     y[full.varIndex("sp0_th")] = std::log(256.0);
     y[full.varIndex("sp1_th")] = std::log(256.0);
-    auto rounded = roundToValid(full, y);
+    auto rounded = roundToValid(full, y, ConstraintChecker(full));
     EXPECT_FALSE(rounded.has_value());
 }
 
@@ -285,7 +285,7 @@ TEST(Rounding, AllOnesAlwaysValid)
 {
     for (const auto &sched : generateSketches(denseAdd())) {
         std::vector<double> y(sched.vars.size(), 0.0);   // e^0 = 1
-        auto rounded = roundToValid(sched, y);
+        auto rounded = roundToValid(sched, y, ConstraintChecker(sched));
         ASSERT_TRUE(rounded.has_value()) << sched.desc;
         EXPECT_TRUE(isValidAssignment(sched, *rounded));
     }

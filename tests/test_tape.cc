@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include "sim/gpu_model.h"
 #include "support/batch.h"
 #include "support/rng.h"
+#include "tape_reference.h"
 #include "tir/ops.h"
 
 namespace felix {
@@ -118,7 +120,7 @@ expectForwardBitExact(const RawTape &tape, bool forward_only,
     TapeProgram program = optimizeTape(tape, forward_only);
     std::vector<double> rawValues, rawOut, optValues, optOut;
     rawForward(tape, inputs, rawValues, rawOut);
-    programForward(program, inputs, optValues, optOut);
+    runProgramForward(program, inputs, optValues, optOut);
     ASSERT_EQ(rawOut.size(), optOut.size());
     for (size_t k = 0; k < rawOut.size(); ++k)
         EXPECT_BITEQ(optOut[k], rawOut[k]);
@@ -195,7 +197,7 @@ TEST(TapeOptimizer, DoesNotEliminateAddOfPositiveZero)
     EXPECT_EQ(program.instrs.size(), 1u);
 
     std::vector<double> values, out;
-    programForward(program, {-0.0}, values, out);
+    runProgramForward(program, {-0.0}, values, out);
     EXPECT_BITEQ(out[0], +0.0);   // and not -0.0
     expectForwardBitExact(tape, true, {-0.0});
 
@@ -277,8 +279,8 @@ TEST(TapeFuzz, OptimizedBackwardBitExactOnRandomTrees)
             rawForward(raw, x, rawValues, rawOut);
             rawBackward(raw, rawValues, seeds, rawGrad);
             std::vector<double> optValues, optOut, optGrad;
-            programForward(program, x, optValues, optOut);
-            programBackward(program, optValues, seeds, optGrad);
+            runProgramForward(program, x, optValues, optOut);
+            runProgramBackward(program, optValues, seeds, optGrad);
             ASSERT_EQ(rawGrad.size(), optGrad.size());
             for (size_t i = 0; i < rawGrad.size(); ++i)
                 EXPECT_BITEQ(optGrad[i], rawGrad[i]);
@@ -352,8 +354,13 @@ TEST(BatchParity, TapeForwardBackwardMatchScalarAcrossWidths)
             std::vector<double> inputGrads(numVars * L);
             compiled.forwardBatch(inputs.data(), width,
                                   outputs.data(), batchState);
-            compiled.backwardBatch(outputGrads.data(),
-                                   inputGrads.data(), batchState);
+            compiled.beginBackwardBatch(batchState);
+            for (size_t k = 0; k < numOutputs; ++k) {
+                double *adj = compiled.outputAdjRowPtr(k, batchState);
+                for (size_t l = 0; l < width; ++l)
+                    adj[l] += outputGrads[k * L + l];
+            }
+            compiled.finishBackwardBatch(inputGrads.data(), batchState);
 
             for (size_t l = 0; l < width; ++l) {
                 std::vector<double> scalarOut, scalarGrad;
@@ -384,12 +391,12 @@ TEST(BatchParity, MlpMatchesScalarPerLane)
         std::vector<double> x(in * L);
         for (double &v : x)
             v = rng.uniform(-3.0, 3.0);
-        double y[kBatchLanes];
-        std::vector<double> dx(in * L);
-        mlp.forwardInputGradBatch(x.data(), L, y, dx.data(),
-                                  batchScratch);
         double yFwd[kBatchLanes];
         mlp.forwardBatch(x.data(), L, yFwd, batchScratch);
+        double y[kBatchLanes];
+        std::copy(x.begin(), x.end(), mlp.stageInputRows(batchScratch));
+        mlp.forwardInputGradStaged(L, y, batchScratch);
+        const double *dx = mlp.inputGradRows(batchScratch);
 
         for (size_t l = 0; l < L; ++l) {
             std::vector<double> point(in);
@@ -434,37 +441,17 @@ TEST(BatchParity, CostModelBatchMatchesScalarPerLane)
     for (int trial = 0; trial < 3 * static_cast<int>(L); ++trial) {
         const size_t width = 1 + static_cast<size_t>(trial) % L;
         std::vector<double> raw(dim * L, nan);
-        std::vector<double> transformed(dim * L, nan);
-        for (size_t i = 0; i < dim; ++i) {
-            for (size_t l = 0; l < width; ++l) {
+        for (size_t i = 0; i < dim; ++i)
+            for (size_t l = 0; l < width; ++l)
                 raw[i * L + l] = rng.uniform(0.5, 1e6);
-                transformed[i * L + l] =
-                    costmodel::CostModel::inputTransform(
-                        raw[i * L + l]);
-            }
-        }
         double scores[kBatchLanes];
         model.predictBatch(raw.data(), width, scores, scratch);
 
-        double gradScores[kBatchLanes];
-        std::vector<double> grads(dim * L);
-        model.predictTransformedWithGradBatch(transformed.data(),
-                                              width, gradScores,
-                                              grads.data(), scratch);
-
         for (size_t l = 0; l < width; ++l) {
-            std::vector<double> point(dim), pointT(dim);
-            for (size_t i = 0; i < dim; ++i) {
-                point[i] = raw[i * L + l];
-                pointT[i] = transformed[i * L + l];
-            }
-            EXPECT_BITEQ(scores[l], model.predict(point));
-            std::vector<double> scalarGrad;
-            double scalarScore = model.predictTransformedWithGrad(
-                pointT, scalarGrad);
-            EXPECT_BITEQ(gradScores[l], scalarScore);
+            std::vector<double> point(dim);
             for (size_t i = 0; i < dim; ++i)
-                EXPECT_BITEQ(grads[i * L + l], scalarGrad[i]);
+                point[i] = raw[i * L + l];
+            EXPECT_BITEQ(scores[l], model.predict(point));
         }
     }
 }
