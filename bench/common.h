@@ -60,7 +60,9 @@ costmodel::CostModel modelFor(sim::DeviceKind device,
  * covers sketch generation, "tapes" the feature-formula tape
  * compilation, "search" the candidate search rounds, "measure" the
  * simulated hardware measurements, and "finetune" the cost-model
- * updates.
+ * updates. Tasks build their sketches and tapes concurrently, so
+ * "sketch" and "tapes" sum over tasks: busy time, which can exceed
+ * the wall time of set-up.
  */
 struct PhaseTimings
 {

@@ -443,18 +443,26 @@ EvolutionarySearch::loadState(std::istream &is)
     size_t numElites = 0;
     if (!(is >> tag >> version >> numElites) ||
         tag != "evo-search" || version != "v1" || numElites > 65536)
-        return false;
+        return optim::rejectState();
     std::vector<Individual> elites(numElites);
     for (Individual &elite : elites) {
         size_t numVars = 0;
         if (!(is >> elite.sketchIndex >> elite.score >> numVars) ||
             numVars > 4096)
-            return false;
+            return optim::rejectState();
         elite.x.resize(numVars);
         for (double &v : elite.x) {
-            if (!(is >> v))
-                return false;
+            if (!(is >> v) || !std::isfinite(v))
+                return optim::rejectState();
         }
+        // Elites seed the next round's population, which indexes
+        // their sketch and evaluates their point unchecked.
+        if (elite.sketchIndex < 0 ||
+            elite.sketchIndex >= static_cast<int>(contexts_.size()) ||
+            !std::isfinite(elite.score) ||
+            numVars != contexts_[elite.sketchIndex].varNames.size() ||
+            !valid(elite))
+            return optim::rejectState();
     }
     elites_ = std::move(elites);
     return true;

@@ -587,15 +587,14 @@ collectVars(const std::vector<Expr> &roots)
     return names;
 }
 
-Expr
-substitute(const Expr &root,
+std::vector<Expr>
+substitute(const std::vector<Expr> &roots,
            const std::vector<std::pair<std::string, Expr>> &map)
 {
     std::unordered_map<std::string, Expr> lookup(map.begin(), map.end());
     std::unordered_map<const ExprNode *, Expr> memo;
     std::unordered_set<const ExprNode *> seen;
-    Expr result;
-    visitPostorder(root, seen, [&](const Expr &node) {
+    const auto rebuild = [&](const Expr &node) {
         Expr replaced;
         if (node.isVar()) {
             auto it = lookup.find(node.varName());
@@ -662,11 +661,21 @@ substitute(const Expr &root,
             }
         }
         memo.emplace(node.get(), replaced);
-        result = replaced;
-    });
-    if (!root.defined())
-        return root;
-    return memo.at(root.get());
+    };
+    for (const Expr &root : roots)
+        visitPostorder(root, seen, rebuild);
+    std::vector<Expr> out;
+    out.reserve(roots.size());
+    for (const Expr &root : roots)
+        out.push_back(root.defined() ? memo.at(root.get()) : root);
+    return out;
+}
+
+Expr
+substitute(const Expr &root,
+           const std::vector<std::pair<std::string, Expr>> &map)
+{
+    return substitute(std::vector<Expr>{root}, map).front();
 }
 
 size_t

@@ -185,7 +185,17 @@ double evalOp(OpCode op, const double *args);
 /** Collect the distinct variables reachable from the given roots. */
 std::vector<std::string> collectVars(const std::vector<Expr> &roots);
 
-/** Substitute variables by expressions (name -> replacement). */
+/**
+ * Substitute variables by expressions (name -> replacement) in each
+ * of @p roots. All roots share one memo, so a subterm they share is
+ * rebuilt once; each result is the node a separate call per root
+ * returns.
+ */
+std::vector<Expr>
+substitute(const std::vector<Expr> &roots,
+           const std::vector<std::pair<std::string, Expr>> &map);
+
+/** substitute in a single root. */
 Expr substitute(const Expr &root,
                 const std::vector<std::pair<std::string, Expr>> &map);
 

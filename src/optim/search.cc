@@ -82,16 +82,41 @@ GradientSearch::saveState(std::ostream &os) const
 }
 
 bool
+rejectState()
+{
+    obs::MetricsRegistry::instance()
+        .counter("search.state_rejected")
+        .add(1.0);
+    return false;
+}
+
+bool
 GradientSearch::loadState(std::istream &is)
 {
     std::string tag, version;
     double bestLatency = 0.0;
     if (!(is >> tag >> version >> bestLatency) ||
         tag != "grad-search" || version != "v1")
-        return false;
+        return rejectState();
     Candidate best;
     if (!readCandidate(is, best))
-        return false;
+        return rejectState();
+    // A negative latency means no incumbent yet. An incumbent must
+    // fit its sketch, as seed 0 of the next round starts from it.
+    if (!std::isfinite(bestLatency) || bestLatency == 0.0)
+        return rejectState();
+    if (bestLatency > 0.0) {
+        if (best.sketchIndex < 0 ||
+            best.sketchIndex >= static_cast<int>(contexts_.size()) ||
+            !std::isfinite(best.predictedScore))
+            return rejectState();
+        const SketchContext &context = contexts_[best.sketchIndex];
+        if (best.x.size() != context.varNames.size() ||
+            !std::all_of(best.x.begin(), best.x.end(),
+                         [](double v) { return std::isfinite(v); }) ||
+            !context.checker->feasible(best.x))
+            return rejectState();
+    }
     bestMeasuredLatency_ = bestLatency;
     bestMeasured_ = std::move(best);
     return true;
@@ -116,28 +141,23 @@ objectiveOutputs(const std::vector<Expr> &raw_features,
                  const std::vector<std::string> &var_names,
                  const GradSearchOptions &options)
 {
-    std::vector<Expr> outputs;
-    outputs.reserve(raw_features.size() + constraints.size());
-    for (const Expr &f : raw_features) {
-        Expr base = options.applySmoothing
-                        ? rewrite::makeSmooth(f, options.kernel)
-                        : f;
-        Expr logged = rewrite::logExpand(base);
-        if (options.applyLogExp)
-            logged = rewrite::expSubstituteVars(logged, var_names);
-        outputs.push_back(options.applySmoothing
-                              ? rewrite::smoothMax0(logged,
-                                                    options.kernel)
-                              : expr::max(logged,
-                                          Expr::constant(0.0)));
-    }
-    for (const Expr &g : constraints) {
-        Expr smooth = options.applySmoothing
-                          ? rewrite::makeSmooth(g, options.kernel)
-                          : g;
-        if (options.applyLogExp)
-            smooth = rewrite::expSubstituteVars(smooth, var_names);
-        outputs.push_back(smooth);
+    // One call per pass over all of the sketch's formulas: the passes
+    // memoize by interned node, so the subterms the formulas share
+    // are rewritten once per sketch, not once per output.
+    const size_t numFeatures = raw_features.size();
+    std::vector<Expr> outputs = raw_features;
+    outputs.insert(outputs.end(), constraints.begin(), constraints.end());
+    if (options.applySmoothing)
+        outputs = rewrite::makeSmooth(outputs, options.kernel);
+    const std::vector<Expr> logged = rewrite::logExpand(
+        std::vector<Expr>(outputs.begin(), outputs.begin() + numFeatures));
+    std::copy(logged.begin(), logged.end(), outputs.begin());
+    if (options.applyLogExp)
+        outputs = rewrite::expSubstituteVars(outputs, var_names);
+    for (size_t i = 0; i < numFeatures; ++i) {
+        outputs[i] = options.applySmoothing
+                         ? rewrite::smoothMax0(outputs[i], options.kernel)
+                         : expr::max(outputs[i], Expr::constant(0.0));
     }
     return outputs;
 }

@@ -126,7 +126,12 @@ class SearchStrategy
 
     /**
      * Restore a saveState() blob into a freshly constructed
-     * strategy for the same subgraph. False on malformed input.
+     * strategy for the same subgraph. False, with the strategy left
+     * as it was, on malformed input or on a state that does not fit
+     * this strategy's sketches: a sketch index out of range, a point
+     * whose variable count differs from its sketch's or that fails
+     * the sketch's constraint checker, or a non-finite latency or
+     * score. Each refusal counts in `search.state_rejected`.
      */
     virtual bool
     loadState(std::istream &is)
@@ -135,6 +140,10 @@ class SearchStrategy
         return true;
     }
 };
+
+/** Count a state loadState() refuses in `search.state_rejected`;
+ *  returns false, for loadState() to return. */
+bool rejectState();
 
 /** Gradient-descent search options (paper §5 defaults). */
 struct GradSearchOptions
@@ -165,7 +174,9 @@ struct GradSearchOptions
  * constraint g(e^y) per constraint. FusedGradStep scores the first
  * raw_features.size() outputs with the cost model and penalizes the
  * rest; the ablation knobs in @p options drop either rewrite stage.
- * GradientSearch compiles one such tape per sketch.
+ * GradientSearch compiles one such tape per sketch. Each rewrite
+ * pass runs once over all of the sketch's formulas, through one
+ * memo; the roots are those of the per-output composition.
  *
  * @param raw_features The sketch's feature formulas
  *        (features::extractFeatures of its program), x space.

@@ -275,12 +275,24 @@ checkSmooth(const Expr &e,
 
 } // namespace
 
+std::vector<Expr>
+makeSmooth(const std::vector<Expr> &roots, Kernel kernel)
+{
+    std::unordered_map<const ExprNode *, Expr> memo;
+    std::vector<Expr> out;
+    out.reserve(roots.size());
+    for (const Expr &root : roots) {
+        FELIX_CHECK(root.defined(),
+                    "makeSmooth on undefined expression");
+        out.push_back(rewriteNode(root, kernel, memo));
+    }
+    return out;
+}
+
 Expr
 makeSmooth(const Expr &root, Kernel kernel)
 {
-    FELIX_CHECK(root.defined(), "makeSmooth on undefined expression");
-    std::unordered_map<const ExprNode *, Expr> memo;
-    return rewriteNode(root, kernel, memo);
+    return makeSmooth(std::vector<Expr>{root}, kernel).front();
 }
 
 bool

@@ -25,6 +25,8 @@
 #ifndef FELIX_REWRITE_SMOOTHING_H_
 #define FELIX_REWRITE_SMOOTHING_H_
 
+#include <vector>
+
 #include "expr/expr.h"
 
 namespace felix {
@@ -57,12 +59,22 @@ expr::Expr smoothMin(const expr::Expr &a, const expr::Expr &b,
 expr::Expr smoothAbs(const expr::Expr &x, Kernel kernel);
 
 /**
- * Rewrite @p root bottom-up, replacing every non-differentiable
- * operator (Min, Max, Abs, Floor, Select-with-comparison-condition,
- * bare comparisons) with its smooth version. The result contains
- * only differentiable opcodes; expressions that are already smooth
- * are returned unchanged (same interned node).
+ * Rewrite each of @p roots bottom-up, replacing every
+ * non-differentiable operator (Min, Max, Abs, Floor,
+ * Select-with-comparison-condition, bare comparisons) with its
+ * smooth version. The results contain only differentiable opcodes;
+ * expressions that are already smooth are returned unchanged (same
+ * interned node).
+ *
+ * All roots share one memo, so a subterm they share is rewritten
+ * once, as an e-graph would store it once. The rewrite of a node is
+ * a pure function of that interned node, so each result is the node
+ * a separate call per root returns.
  */
+std::vector<expr::Expr> makeSmooth(const std::vector<expr::Expr> &roots,
+                                   Kernel kernel = Kernel::Algebraic);
+
+/** makeSmooth of a single root. */
 expr::Expr makeSmooth(const expr::Expr &root,
                       Kernel kernel = Kernel::Algebraic);
 

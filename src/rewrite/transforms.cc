@@ -119,23 +119,41 @@ provablyPositive(const Expr &e)
     return positiveNode(e, memo);
 }
 
-Expr
-logExpand(const Expr &feature)
+std::vector<Expr>
+logExpand(const std::vector<Expr> &features)
 {
-    FELIX_CHECK(feature.defined());
     std::unordered_map<const ExprNode *, bool> posMemo;
     std::unordered_map<const ExprNode *, Expr> memo;
-    return logNode(feature, posMemo, memo);
+    std::vector<Expr> out;
+    out.reserve(features.size());
+    for (const Expr &feature : features) {
+        FELIX_CHECK(feature.defined());
+        out.push_back(logNode(feature, posMemo, memo));
+    }
+    return out;
 }
 
 Expr
-expSubstituteVars(const Expr &root, const std::vector<std::string> &vars)
+logExpand(const Expr &feature)
+{
+    return logExpand(std::vector<Expr>{feature}).front();
+}
+
+std::vector<Expr>
+expSubstituteVars(const std::vector<Expr> &roots,
+                  const std::vector<std::string> &vars)
 {
     std::vector<std::pair<std::string, Expr>> map;
     map.reserve(vars.size());
     for (const std::string &name : vars)
         map.emplace_back(name, expr::exp(Expr::var(name)));
-    return expr::substitute(root, map);
+    return expr::substitute(roots, map);
+}
+
+Expr
+expSubstituteVars(const Expr &root, const std::vector<std::string> &vars)
+{
+    return expSubstituteVars(std::vector<Expr>{root}, vars).front();
 }
 
 } // namespace rewrite

@@ -33,22 +33,35 @@ namespace rewrite {
 bool provablyPositive(const expr::Expr &e);
 
 /**
- * log(feature), expanded structurally where positivity allows:
+ * log(feature) of each of @p features, expanded structurally where
+ * positivity allows:
  *   log(a*b) -> log a + log b        log(a/b) -> log a - log b
  *   log(a^b) -> b * log a            log(exp a) -> a
  *   log(sqrt a) -> log(a) / 2
  * Subterms that cannot be proven positive stay under a (safe) log.
+ * All features share one expansion memo and one positivity memo,
+ * so a shared subterm is analysed once; each result is the node a
+ * separate call per feature returns.
  */
+std::vector<expr::Expr> logExpand(const std::vector<expr::Expr> &features);
+
+/** logExpand of a single feature. */
 expr::Expr logExpand(const expr::Expr &feature);
 
 /**
- * Exponential variable substitution x = e^y.
+ * Exponential variable substitution x = e^y in each of @p roots,
+ * through one memo (expr::substitute).
  *
  * Replaces every variable in @p vars by exp(var). Variable names are
  * kept; after this rewrite the optimizer's values are interpreted in
  * log space. When applied after logExpand, occurrences log(exp(v))
  * collapse to v, so tile-size products become sums of log variables.
  */
+std::vector<expr::Expr>
+expSubstituteVars(const std::vector<expr::Expr> &roots,
+                  const std::vector<std::string> &vars);
+
+/** expSubstituteVars of a single root. */
 expr::Expr expSubstituteVars(const expr::Expr &root,
                              const std::vector<std::string> &vars);
 

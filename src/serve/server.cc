@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 
 #include "models/models.h"
 #include "obs/flight.h"
@@ -199,8 +200,37 @@ ServeSession::tune(const std::string &network_name,
     auto &registry = obs::MetricsRegistry::instance();
     TuneResponse response;
     response.network = network_name;
-    for (const graph::Task &task : tasks) {
-        const uint64_t hash = task.subgraph.structuralHash();
+
+    // The tasks this request registers with the background tuner, in
+    // request order, as one addTasks() call so that their strategies
+    // build in parallel: each miss, at the first occurrence of its
+    // hash, and each hit whose restored checkpoint holds
+    // background-tuning state (a restarted daemon with a warm cache).
+    // The order keeps the measurement seeds one-at-a-time
+    // registration would draw.
+    std::vector<uint64_t> hashes;
+    hashes.reserve(tasks.size());
+    for (const graph::Task &task : tasks)
+        hashes.push_back(task.subgraph.structuralHash());
+    std::vector<graph::Task> toRegister;
+    std::unordered_map<uint64_t, int> registered;   // hash -> offset
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        const uint64_t hash = hashes[i];
+        if (registered.count(hash))
+            continue;
+        const CacheEntry *entry = cache_.lookup(hash);
+        if (!entry ||
+            (entry->taskIndex < 0 && tuner_->hasPendingRestore(hash))) {
+            registered.emplace(hash,
+                               static_cast<int>(toRegister.size()));
+            toRegister.push_back(tasks[i]);
+        }
+    }
+    const int firstIndex = tuner_->addTasks(std::move(toRegister));
+
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        const graph::Task &task = tasks[i];
+        const uint64_t hash = hashes[i];
         // Traffic accounting: each occurrence of the subgraph in
         // the requested network is one unit of fleet traffic.
         traffic_.add(hash, static_cast<uint64_t>(task.weight));
@@ -223,20 +253,18 @@ ServeSession::tune(const std::string &network_name,
             answer.vars = entry->best.scheduleVars;
             answer.latencySec = entry->best.latencySec;
             answer.cached = true;
-            if (entry->taskIndex < 0 &&
-                tuner_->hasPendingRestore(hash)) {
+            auto reRegistered = registered.find(hash);
+            if (entry->taskIndex < 0 && reRegistered != registered.end()) {
                 // Restarted daemon, warm cache: the answer comes
-                // from the cache, but the restored checkpoint has
-                // background-tuning state for this subgraph, so
-                // re-register it with the tuner to keep improving
-                // it where the previous process left off.
-                const int taskIndex = tuner_->addTask(task);
-                cache_.bindTask(hash, taskIndex);
+                // from the cache, and the task re-registered above
+                // keeps improving where the previous process left
+                // off.
+                cache_.bindTask(hash, firstIndex + reRegistered->second);
             }
         } else {
-            // First sighting: register with the background tuner
-            // (one initial all-ones measurement) and serve that
-            // untuned schedule; background rounds improve it.
+            // First sighting: registered above with the background
+            // tuner (one initial all-ones measurement); serve that
+            // untuned schedule, which background rounds improve.
             ++cacheMisses_;
             ++response.cacheMisses;
             hitWindow_.observe(false);
@@ -244,7 +272,7 @@ ServeSession::tune(const std::string &network_name,
             obs::FlightRecorder::instance().record(
                 obs::FlightKind::CacheMiss, obs::currentRequestId(),
                 hash);
-            const int taskIndex = tuner_->addTask(task);
+            const int taskIndex = firstIndex + registered.at(hash);
             const tuner::TaskRecord &record =
                 tuner_->taskRecords()[taskIndex];
             tuner::TuneRecord fresh =

@@ -418,19 +418,29 @@ ShardRunner::Impl::run()
     // sketch/search metrics; on resume the registry restore below
     // overwrites them with the checkpointed values, so a resumed
     // process reports exactly what the interrupted one would have.
-    for (size_t t = 0; t < tasks.size(); ++t) {
-        if (!owned[t])
-            continue;
-        Cell cell;
-        cell.taskIndex = static_cast<int>(t);
-        cell.record.task = tasks[t];
-        cell.record.strategy = tuner::makeStrategy(
-            options.strategy, cell.record.task, options.grad,
+    const auto buildCells = [&] {
+        std::vector<graph::Task> ownedTasks;
+        for (size_t t = 0; t < tasks.size(); ++t) {
+            if (owned[t])
+                ownedTasks.push_back(tasks[t]);
+        }
+        std::vector<tuner::TaskRecord> records = tuner::makeStrategies(
+            options.strategy, std::move(ownedTasks), options.grad,
             options.evo);
-        cell.model = baseModel;
-        cellOfTask[cell.taskIndex] = cells.size();
-        cells.push_back(std::move(cell));
-    }
+        cells.clear();
+        cellOfTask.clear();
+        for (size_t t = 0, next = 0; t < tasks.size(); ++t) {
+            if (!owned[t])
+                continue;
+            Cell cell;
+            cell.taskIndex = static_cast<int>(t);
+            cell.record = std::move(records[next++]);
+            cell.model = baseModel;
+            cellOfTask[cell.taskIndex] = cells.size();
+            cells.push_back(std::move(cell));
+        }
+    };
+    buildCells();
 
     long startG = 0;
     if (restored) {
@@ -466,6 +476,11 @@ ShardRunner::Impl::run()
                  ": checkpoint cell table does not match the task "
                  "partition; restarting from round 0");
             restored.reset();
+            // Cells before the mismatch took restored state: start
+            // round 0 from fresh cells and a clean registry, as a
+            // process without a checkpoint would.
+            registry.resetAll();
+            buildCells();
         } else {
             registry.restore(restored->metrics);
             startG = restored->nextG;

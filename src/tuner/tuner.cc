@@ -38,21 +38,38 @@ GraphTuner::GraphTuner(std::vector<graph::Task> tasks,
     if (options_.numThreads > 0)
         setGlobalJobs(options_.numThreads);
     FELIX_SPAN("tuner.setup", "tuner");
-    for (graph::Task &task : tasks)
-        initTask(std::move(task));
+    addTasks(std::move(tasks));
     timeline_.push_back({0.0, networkLatency()});
 }
 
-std::unique_ptr<optim::SearchStrategy>
-makeStrategy(StrategyKind kind, const graph::Task &task,
-             const optim::GradSearchOptions &grad,
-             const evolutionary::EvoSearchOptions &evo)
+std::vector<TaskRecord>
+makeStrategies(StrategyKind kind, std::vector<graph::Task> tasks,
+               const optim::GradSearchOptions &grad,
+               const evolutionary::EvoSearchOptions &evo)
 {
-    if (kind == StrategyKind::FelixGradient)
-        return std::make_unique<optim::GradientSearch>(task.subgraph,
-                                                       grad);
-    return std::make_unique<evolutionary::EvolutionarySearch>(
-        task.subgraph, evo);
+    std::vector<TaskRecord> records(tasks.size());
+    parallelFor("tuner.make_strategy", tasks.size(), [&](size_t i) {
+        TaskRecord &record = records[i];
+        record.task = std::move(tasks[i]);
+        if (kind == StrategyKind::FelixGradient) {
+            record.strategy = std::make_unique<optim::GradientSearch>(
+                record.task.subgraph, grad);
+        } else {
+            record.strategy =
+                std::make_unique<evolutionary::EvolutionarySearch>(
+                    record.task.subgraph, evo);
+        }
+        const auto &sched = record.strategy->sketches().front();
+        std::vector<std::string> names;
+        for (const auto &domain : sched.vars)
+            names.push_back(domain.name);
+        std::vector<double> ones(sched.vars.size(), 1.0);
+        record.bestCandidate.sketchIndex = 0;
+        record.bestCandidate.rawFeatures =
+            features::concreteFeatures(sched.program, names, ones);
+        record.bestCandidate.x = std::move(ones);
+    });
+    return records;
 }
 
 void
@@ -60,56 +77,50 @@ seedTrivialSchedule(TaskRecord &record,
                     const sim::DeviceConfig &device,
                     uint64_t measure_seed)
 {
-    const auto &sched = record.strategy->sketches().front();
-    std::vector<std::string> names;
-    for (const auto &domain : sched.vars)
-        names.push_back(domain.name);
-    std::vector<double> ones(sched.vars.size(), 1.0);
-    auto rawFeatures = features::concreteFeatures(sched.program,
-                                                  names, ones);
-    record.bestLatencySec =
-        sim::measureKernel(rawFeatures, device, measure_seed);
-    record.bestCandidate.sketchIndex = 0;
-    record.bestCandidate.x = ones;
-    record.bestCandidate.rawFeatures = std::move(rawFeatures);
+    record.bestLatencySec = sim::measureKernel(
+        record.bestCandidate.rawFeatures, device, measure_seed);
 }
 
-void
-GraphTuner::initTask(graph::Task task)
+bool
+GraphTuner::restoreTask(TaskRecord &record)
 {
-    TaskRecord record;
-    record.task = std::move(task);
-    record.strategy = makeStrategy(options_.strategy, record.task,
-                                   options_.grad, options_.evo);
-    const uint64_t hash = record.task.subgraph.structuralHash();
-    auto pending = pendingRestore_.find(hash);
-    if (pending != pendingRestore_.end()) {
+    auto pending =
+        pendingRestore_.find(record.task.subgraph.structuralHash());
+    if (pending == pendingRestore_.end())
+        return false;
+    PendingTaskState &state = pending->second;
+    record.rounds = state.rounds;
+    record.stagnantRounds = state.stagnantRounds;
+    record.bestLatencySec = state.bestLatencySec;
+    record.bestCandidate = std::move(state.bestCandidate);
+    std::istringstream blob(state.strategyBlob);
+    if (!record.strategy->loadState(blob))
+        warn("tuner: rejected strategy state for task ",
+             record.task.exampleLabel, "; its search starts fresh");
+    pendingRestore_.erase(pending);
+    return true;
+}
+
+int
+GraphTuner::addTasks(std::vector<graph::Task> tasks)
+{
+    const int first = static_cast<int>(tasks_.size());
+    if (tasks.empty())
+        return first;
+    FELIX_SPAN("tuner.add_tasks", "tuner");
+    std::vector<TaskRecord> records =
+        makeStrategies(options_.strategy, std::move(tasks),
+                       options_.grad, options_.evo);
+    for (TaskRecord &record : records) {
         // Checkpoint overlay: the restored state already includes
         // the initial trivial-schedule measurement, and the
         // restored measureSeed_ stream position sits past it, so
         // measuring again here would desynchronize the seed stream.
-        PendingTaskState &state = pending->second;
-        record.rounds = state.rounds;
-        record.stagnantRounds = state.stagnantRounds;
-        record.bestLatencySec = state.bestLatencySec;
-        record.bestCandidate = std::move(state.bestCandidate);
-        std::istringstream blob(state.strategyBlob);
-        if (!record.strategy->loadState(blob))
-            warn("tuner: malformed strategy state for task ",
-                 record.task.exampleLabel, "; starting it fresh");
-        pendingRestore_.erase(pending);
-    } else {
-        seedTrivialSchedule(record, device_, measureSeed_++);
+        if (!restoreTask(record))
+            seedTrivialSchedule(record, device_, measureSeed_++);
+        tasks_.push_back(std::move(record));
     }
-    tasks_.push_back(std::move(record));
-}
-
-int
-GraphTuner::addTask(graph::Task task)
-{
-    FELIX_SPAN("tuner.add_task", "tuner");
-    initTask(std::move(task));
-    return static_cast<int>(tasks_.size()) - 1;
+    return first;
 }
 
 double
@@ -453,22 +464,8 @@ GraphTuner::loadState(std::istream &is)
     // Overlay tasks that were registered before loadState (the
     // serving daemon normally loads before any task registers, so
     // this loop is usually empty).
-    for (TaskRecord &record : tasks_) {
-        const uint64_t hash = record.task.subgraph.structuralHash();
-        auto it = pendingRestore_.find(hash);
-        if (it == pendingRestore_.end())
-            continue;
-        PendingTaskState &state = it->second;
-        record.rounds = state.rounds;
-        record.stagnantRounds = state.stagnantRounds;
-        record.bestLatencySec = state.bestLatencySec;
-        record.bestCandidate = std::move(state.bestCandidate);
-        std::istringstream blob(state.strategyBlob);
-        if (!record.strategy->loadState(blob))
-            warn("tuner: malformed strategy state for task ",
-                 record.task.exampleLabel);
-        pendingRestore_.erase(it);
-    }
+    for (TaskRecord &record : tasks_)
+        restoreTask(record);
     return true;
 }
 

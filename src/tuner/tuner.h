@@ -101,20 +101,26 @@ struct TaskRecord
 };
 
 /**
- * Build the search strategy for one task. Shared by GraphTuner and
- * the sharded runner (src/shard/) so both construct byte-identical
- * strategies from the same options.
+ * Build a record per task, one parallel "tuner.make_strategy" item
+ * each: the task's search strategy (sketch generation, feature
+ * extraction, rewrite, tape and checker compiles) and, as its
+ * bestCandidate, the trivial all-ones schedule of the primary sketch
+ * with its raw features, not yet measured (seedTrivialSchedule).
+ * A record is a pure function of (task, options), so the records do
+ * not depend on --jobs. Shared by GraphTuner and the sharded runner
+ * (src/shard/) so both construct byte-identical strategies from the
+ * same options.
  */
-std::unique_ptr<optim::SearchStrategy> makeStrategy(
-    StrategyKind kind, const graph::Task &task,
+std::vector<TaskRecord> makeStrategies(
+    StrategyKind kind, std::vector<graph::Task> tasks,
     const optim::GradSearchOptions &grad,
     const evolutionary::EvoSearchOptions &evo);
 
 /**
- * Start @p record at the trivial all-ones schedule of the primary
- * sketch (always legal, single-threaded), measured with
+ * Measure the trivial all-ones schedule makeStrategies put in
+ * @p record.bestCandidate (always legal, single-threaded) with
  * @p measure_seed. This is the "untuned" latency the curves start
- * at. Requires record.strategy to be set.
+ * at.
  */
 void seedTrivialSchedule(TaskRecord &record,
                          const sim::DeviceConfig &device,
@@ -198,13 +204,16 @@ class GraphTuner
     void tuneUntil(double budget_sec);
 
     /**
-     * Register a new task after construction (reentrant serving
-     * API). The task starts at the trivial all-ones schedule, whose
-     * simulated measurement advances the deterministic measurement
-     * seed stream exactly like a constructor-registered task.
-     * Returns the task index.
+     * Register tasks; the constructor and the serving API (after
+     * construction) both come here. Their strategies build in
+     * parallel (makeStrategies). Then, on the calling thread and in
+     * order, each task either takes its restored state (loadState)
+     * or starts at the trivial all-ones schedule, whose simulated
+     * measurement takes the next seed of the deterministic
+     * measurement stream. Returns the index of the first new task;
+     * the others follow in order.
      */
-    int addTask(graph::Task task);
+    int addTasks(std::vector<graph::Task> tasks);
 
     /**
      * Run one tuning round on one specific task, letting an external
@@ -246,7 +255,7 @@ class GraphTuner
      * Restore state written by saveState(). Global state (rng,
      * clock, history, model) applies immediately; per-task state is
      * stashed by task hash and overlaid when a task with that hash
-     * is registered via addTask()/the constructor — the overlay
+     * is registered via addTasks()/the constructor — the overlay
      * path skips the initial trivial-schedule measurement, since
      * the restored stream position already accounts for it. False
      * on malformed input (state is then unspecified; discard the
@@ -262,14 +271,14 @@ class GraphTuner
         return pendingRestore_.count(task_hash) != 0;
     }
 
-    /** Restored per-task states not yet claimed by addTask(). */
+    /** Restored per-task states not yet claimed by addTasks(). */
     size_t pendingRestoreCount() const
     {
         return pendingRestore_.size();
     }
 
   private:
-    /** Per-task state parked between loadState() and addTask(). */
+    /** Per-task state parked between loadState() and addTasks(). */
     struct PendingTaskState
     {
         int rounds = 0;
@@ -281,7 +290,8 @@ class GraphTuner
 
     int selectNextTask();
     void tuneOneRound();
-    void initTask(graph::Task task);
+    /** Overlay the parked state for @p record's hash, if any. */
+    bool restoreTask(TaskRecord &record);
 
     std::vector<TaskRecord> tasks_;
     /** Replay buffer of all measured samples (model fine-tuning). */

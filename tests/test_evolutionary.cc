@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "costmodel/dataset.h"
 #include "evolutionary/evolutionary.h"
+#include "obs/metrics.h"
 #include "sketch/sampling.h"
 #include "tir/ops.h"
 
@@ -106,6 +108,72 @@ TEST(Evolutionary, MeasurementSetCoversAllSketches)
     for (const auto &candidate : result.toMeasure)
         sketchesSeen.insert(candidate.sketchIndex);
     EXPECT_EQ(sketchesSeen.size(), search.sketches().size());
+}
+
+TEST(Evolutionary, LoadStateRejectsStatesThatDoNotFitTheSketches)
+{
+    auto subgraph = tir::dense(256, 256, 256, true);
+    EvoSearchOptions options;
+    options.population = 64;
+    options.generations = 2;
+    options.nMeasure = 8;
+    options.eliteKeep = 4;
+    EvolutionarySearch search(subgraph, options);
+    const sketch::SymbolicSchedule &sketch0 = search.sketches().front();
+    const size_t numVars = sketch0.vars.size();
+    ASSERT_GT(numVars, 1u);
+    const std::vector<double> ones(numVars, 1.0);
+    const std::vector<double> huge(numVars, 4096.0);
+    ASSERT_FALSE(sketch::ConstraintChecker(sketch0).feasible(huge));
+
+    // One elite after a fitting one, so a rejection mid-list must
+    // not leave the fitting one loaded either.
+    auto stateOf = [&](int sketch_index, const std::vector<double> &x,
+                       const std::string &score) {
+        std::ostringstream os;
+        os << "evo-search v1 2\n0 0.5 " << numVars;
+        for (double v : ones)
+            os << " " << v;
+        os << "\n" << sketch_index << " " << score << " " << x.size();
+        for (double v : x)
+            os << " " << v;
+        os << "\n";
+        return os.str();
+    };
+    std::ostringstream fresh;
+    search.saveState(fresh);
+    obs::Counter &rejected = obs::MetricsRegistry::instance().counter(
+        "search.state_rejected");
+    const double before = rejected.value();
+    const std::vector<std::string> bad = {
+        "evo-search v1 1\n0 0.5 1 2\n",
+        stateOf(static_cast<int>(search.sketches().size()), ones, "0.5"),
+        stateOf(-1, ones, "0.5"),
+        stateOf(0, std::vector<double>(numVars + 1, 1.0), "0.5"),
+        stateOf(0, huge, "0.5"),
+        stateOf(0, ones, "inf"),
+    };
+    for (const std::string &state : bad) {
+        std::istringstream is(state);
+        EXPECT_FALSE(search.loadState(is)) << state;
+        std::ostringstream after;
+        search.saveState(after);
+        EXPECT_EQ(after.str(), fresh.str()) << state;
+    }
+    EXPECT_EQ(rejected.value() - before, static_cast<double>(bad.size()));
+
+    // The strategy is as built: a round runs, and its own elites
+    // load back.
+    Rng rng(5);
+    EXPECT_GT(search.round(testModel(), rng).toMeasure.size(), 0u);
+    std::ostringstream saved;
+    search.saveState(saved);
+    for (const std::string &state : {stateOf(0, ones, "0.5"), saved.str()}) {
+        std::istringstream is(state);
+        EXPECT_TRUE(search.loadState(is)) << state;
+        EXPECT_GT(search.round(testModel(), rng).toMeasure.size(), 0u);
+    }
+    EXPECT_EQ(rejected.value() - before, static_cast<double>(bad.size()));
 }
 
 TEST(Evolutionary, DeterministicGivenSeed)

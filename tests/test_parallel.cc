@@ -3,7 +3,9 @@
  * Tests of the deterministic parallel runtime (support/parallel.h):
  * pool correctness, exception propagation, nested loops, concurrent
  * expression interning, and the end-to-end determinism contract —
- * a GraphTuner run is bit-identical for --jobs 1 and --jobs 4.
+ * a GraphTuner run is bit-identical for --jobs 1 and --jobs 4, and
+ * registering a network's tasks in one parallel batch matches
+ * registering them one at a time.
  *
  * Registered under the ctest label "concurrency" so the suite can be
  * re-run under ThreadSanitizer (cmake -DFELIX_SANITIZE=thread,
@@ -12,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "costmodel/dataset.h"
 #include "expr/expr.h"
 #include "graph/graph.h"
+#include "models/models.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "tir/ops.h"
@@ -277,6 +282,60 @@ TEST(Determinism, TunerIsBitIdenticalAcrossJobCounts)
                          four.timeline[i].timeSec);
         EXPECT_DOUBLE_EQ(one.timeline[i].networkLatencySec,
                          four.timeline[i].networkLatencySec);
+    }
+}
+
+uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<uint64_t>(value);
+}
+
+TEST(Determinism, BatchRegistrationMatchesOneTaskAtATime)
+{
+    PoolGuard guard;
+    setGlobalJobs(1);
+    const costmodel::CostModel model = parityModel();
+    for (const graph::Graph &network :
+         {models::dcgan(1), models::resnet50(1)}) {
+        const std::vector<graph::Task> tasks = graph::partition(network);
+        // One tuner registers every task with one addTasks call (its
+        // strategies build in parallel), the other one task per call.
+        auto run = [&](bool batched, std::vector<uint64_t> &bits,
+                       std::string &state) {
+            tuner::TunerOptions options;
+            options.seed = 7;
+            options.numThreads = 4;
+            options.allowEmptyTasks = true;
+            options.grad.nSeeds = 4;
+            options.grad.nSteps = 32;
+            options.grad.nMeasure = 6;
+            tuner::GraphTuner tuner({}, model, sim::DeviceKind::A5000,
+                                    options);
+            if (batched) {
+                EXPECT_EQ(tuner.addTasks(tasks), 0);
+            } else {
+                for (size_t i = 0; i < tasks.size(); ++i)
+                    EXPECT_EQ(tuner.addTasks({tasks[i]}),
+                              static_cast<int>(i));
+            }
+            for (const tuner::TaskRecord &record : tuner.taskRecords()) {
+                bits.push_back(record.task.subgraph.structuralHash());
+                bits.push_back(bitsOf(record.bestLatencySec));
+            }
+            bits.push_back(bitsOf(tuner.networkLatency()));
+            tuner.tuneRounds(3);
+            std::ostringstream os;
+            tuner.saveState(os);
+            state = os.str();
+        };
+        std::vector<uint64_t> batchedBits, singleBits;
+        std::string batchedState, singleState;
+        run(true, batchedBits, batchedState);
+        run(false, singleBits, singleState);
+        EXPECT_EQ(batchedBits.size(), 2 * tasks.size() + 1);
+        EXPECT_EQ(batchedBits, singleBits) << network.name();
+        EXPECT_EQ(batchedState, singleState) << network.name();
     }
 }
 

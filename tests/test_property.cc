@@ -5,7 +5,8 @@
  * program whose loop structure conserves the iteration domain, whose
  * features are finite/exact, and whose sampled schedules are valid;
  * the simulator must respect basic physical bounds on all of them.
- * Rounding must also yield legal schedules on every network's tasks.
+ * Rounding must also yield legal schedules on every network's tasks,
+ * and the descent objective must be the per-output rewrite of them.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include "graph/graph.h"
 #include "models/models.h"
 #include "optim/search.h"
+#include "rewrite/smoothing.h"
+#include "rewrite/transforms.h"
 #include "sim/gpu_model.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
@@ -308,6 +311,82 @@ TEST(EveryNetwork, RoundingYieldsLegalSchedules)
     }
     EXPECT_GT(sketches, 300u);
     EXPECT_GT(rounded, attempts / 2);
+}
+
+/**
+ * objectiveOutputs as one call of a rewrite pass per output, each
+ * through a fresh memo: the composition the shared-memo passes must
+ * reproduce node for node.
+ */
+std::vector<expr::Expr>
+perOutputObjective(const std::vector<expr::Expr> &raw_features,
+                   const std::vector<expr::Expr> &constraints,
+                   const std::vector<std::string> &var_names,
+                   const optim::GradSearchOptions &options)
+{
+    std::vector<expr::Expr> outputs;
+    for (const expr::Expr &f : raw_features) {
+        expr::Expr base = options.applySmoothing
+                              ? rewrite::makeSmooth(f, options.kernel)
+                              : f;
+        expr::Expr logged = rewrite::logExpand(base);
+        if (options.applyLogExp)
+            logged = rewrite::expSubstituteVars(logged, var_names);
+        outputs.push_back(
+            options.applySmoothing
+                ? rewrite::smoothMax0(logged, options.kernel)
+                : expr::max(logged, expr::Expr::constant(0.0)));
+    }
+    for (const expr::Expr &g : constraints) {
+        expr::Expr smooth = options.applySmoothing
+                                ? rewrite::makeSmooth(g, options.kernel)
+                                : g;
+        if (options.applyLogExp)
+            smooth = rewrite::expSubstituteVars(smooth, var_names);
+        outputs.push_back(smooth);
+    }
+    return outputs;
+}
+
+TEST(EveryNetwork, ObjectiveOutputsMatchPerOutputRewrite)
+{
+    // The default pipeline and each ablation setting.
+    std::vector<optim::GradSearchOptions> settings(5);
+    settings[1].applySmoothing = false;
+    settings[2].applyLogExp = false;
+    settings[3].kernel = rewrite::Kernel::Gaussian;
+    settings[4].kernel = rewrite::Kernel::Bump;
+    std::unordered_set<uint64_t> seen;
+    size_t sketches = 0;
+    for (const auto &spec : models::evaluationNetworks()) {
+        for (int batch : {1, 4}) {
+            for (const auto &task : graph::partition(spec.build(batch))) {
+                if (!seen.insert(task.subgraph.structuralHash()).second)
+                    continue;
+                for (const auto &sched :
+                     sketch::generateSketches(task.subgraph)) {
+                    ++sketches;
+                    std::vector<std::string> names;
+                    for (const auto &domain : sched.vars)
+                        names.push_back(domain.name);
+                    const auto raw = features::extractFeatures(sched.program);
+                    for (size_t k = 0; k < settings.size(); ++k) {
+                        const auto shared = optim::objectiveOutputs(
+                            raw, sched.constraints, names, settings[k]);
+                        const auto separate = perOutputObjective(
+                            raw, sched.constraints, names, settings[k]);
+                        ASSERT_EQ(shared.size(), separate.size());
+                        for (size_t i = 0; i < shared.size(); ++i) {
+                            ASSERT_TRUE(shared[i].same(separate[i]))
+                                << spec.name << " / " << sched.desc
+                                << ", setting " << k << ", output " << i;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(sketches, 300u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

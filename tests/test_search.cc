@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "costmodel/dataset.h"
 #include "evolutionary/evolutionary.h"
 #include "features/features.h"
+#include "obs/metrics.h"
 #include "optim/adam.h"
 #include "optim/search.h"
 #include "sim/gpu_model.h"
@@ -176,6 +178,72 @@ TEST(GradientSearchTest, ConvergesTowardHigherPredictedScores)
     }
     meanGain /= options.nSeeds;
     EXPECT_GT(meanGain, 0.05);
+}
+
+TEST(GradientSearchTest, LoadStateRejectsStatesThatDoNotFitTheSketches)
+{
+    auto subgraph = tir::dense(256, 256, 256, true);
+    GradSearchOptions options;
+    options.nSeeds = 4;
+    options.nSteps = 16;
+    options.nMeasure = 4;
+    GradientSearch search(subgraph, options);
+    const sketch::SymbolicSchedule &sketch0 = search.sketches().front();
+    const size_t numVars = sketch0.vars.size();
+    ASSERT_GT(numVars, 1u);
+    const std::vector<double> ones(numVars, 1.0);
+    const std::vector<double> huge(numVars, 4096.0);
+    ASSERT_FALSE(sketch::ConstraintChecker(sketch0).feasible(huge));
+
+    auto stateOf = [](const std::string &latency, int sketch_index,
+                      const std::vector<double> &x,
+                      const std::string &score) {
+        std::ostringstream os;
+        os << "grad-search v1 " << latency << "\n" << sketch_index
+           << " " << x.size();
+        for (double v : x)
+            os << " " << v;
+        os << " 0 " << score << "\n";
+        return os.str();
+    };
+    std::ostringstream fresh;
+    search.saveState(fresh);
+    obs::Counter &rejected = obs::MetricsRegistry::instance().counter(
+        "search.state_rejected");
+    const double before = rejected.value();
+    const std::vector<std::string> bad = {
+        // One variable where sketch 0 has more: the next round's
+        // seed 0 would read past the incumbent.
+        "grad-search v1 0.001 0 1 2 0 0.5",
+        stateOf("0.001", static_cast<int>(search.sketches().size()),
+                ones, "0.5"),
+        stateOf("0.001", -1, ones, "0.5"),
+        stateOf("0.001", 0, huge, "0.5"),
+        stateOf("0", 0, ones, "0.5"),
+        stateOf("inf", 0, ones, "0.5"),
+        stateOf("0.001", 0, ones, "nan"),
+    };
+    for (const std::string &state : bad) {
+        std::istringstream is(state);
+        EXPECT_FALSE(search.loadState(is)) << state;
+        std::ostringstream after;
+        search.saveState(after);
+        EXPECT_EQ(after.str(), fresh.str()) << state;
+    }
+    EXPECT_EQ(rejected.value() - before, static_cast<double>(bad.size()));
+
+    // The strategy is as built: a round runs.
+    Rng rng(5);
+    EXPECT_GT(search.round(testModel(), rng).toMeasure.size(), 0u);
+
+    // A fitting incumbent and the no-incumbent state still load.
+    for (const std::string &state :
+         {stateOf("0.001", 0, ones, "0.5"), fresh.str()}) {
+        std::istringstream is(state);
+        EXPECT_TRUE(search.loadState(is)) << state;
+        EXPECT_GT(search.round(testModel(), rng).toMeasure.size(), 0u);
+    }
+    EXPECT_EQ(rejected.value() - before, static_cast<double>(bad.size()));
 }
 
 TEST(EvolutionaryTest, CandidatesAreValidAndImprove)

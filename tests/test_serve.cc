@@ -24,6 +24,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "tuner/records.h"
 
@@ -753,6 +754,63 @@ TEST(ServeSession, WarmStartAnswersWithoutMeasurements)
         EXPECT_EQ(session.graphTuner().totalMeasurements(), 0);
     }
     std::remove(path);
+}
+
+TEST(ServeSession, RestartReRegistersRestoredTasksBitIdentically)
+{
+    // A daemon restarted from its checkpoint and persisted cache
+    // answers the same network from the cache and re-registers its
+    // tasks, which resume their restored tuning state.
+    const std::string tune = R"({"op":"tune","network":"dcgan","batch":1})";
+    auto run = [&](int jobs) {
+        const std::string base =
+            "test_serve_restart_" + std::to_string(jobs) + "_tmp";
+        ServeOptions options = fastOptions();
+        options.recordsPath = base + ".log";
+        options.checkpointPath = base + ".ckpt";
+        options.tuner.numThreads = jobs;
+        std::remove(options.recordsPath.c_str());
+        std::remove(options.checkpointPath.c_str());
+        std::map<uint64_t, int> roundsBefore;
+        {
+            ServeSession session(options, testModel());
+            session.handle(tune);
+            session.handle(R"({"op":"rounds","n":3})");
+            for (const auto &record : session.graphTuner().taskRecords())
+                roundsBefore[record.task.subgraph.structuralHash()] =
+                    record.rounds;
+            EXPECT_GT(session.persist(), 0u);
+            EXPECT_TRUE(session.writeCheckpoint());
+        }
+        std::string responses;
+        {
+            ServeSession session(options, testModel());
+            EXPECT_EQ(session.graphTuner().pendingRestoreCount(),
+                      roundsBefore.size());
+            responses = session.handle(tune) + "\n";
+            EXPECT_EQ(session.graphTuner().pendingRestoreCount(), 0u);
+            const auto &records = session.graphTuner().taskRecords();
+            EXPECT_EQ(records.size(), roundsBefore.size());
+            int restoredRounds = 0;
+            for (const auto &record : records) {
+                EXPECT_EQ(record.rounds,
+                          roundsBefore.at(
+                              record.task.subgraph.structuralHash()));
+                restoredRounds += record.rounds;
+            }
+            EXPECT_EQ(restoredRounds, 3);
+            responses += session.handle(R"({"op":"rounds","n":2})") + "\n";
+            responses += session.handle(R"({"op":"tasks"})") + "\n";
+        }
+        std::remove(options.recordsPath.c_str());
+        std::remove(options.checkpointPath.c_str());
+        setGlobalJobs(1);
+        return responses;
+    };
+    const std::string one = run(1);
+    EXPECT_NE(one.find("\"cache_hits\":5"), std::string::npos) << one;
+    EXPECT_NE(one.find("\"cache_misses\":0"), std::string::npos);
+    EXPECT_EQ(one, run(4));
 }
 
 } // namespace

@@ -507,6 +507,25 @@ TEST_F(CheckpointTorture, AllCheckpointsGoneRestartsFresh)
     });
 }
 
+TEST_F(CheckpointTorture, StrategyStateThatDoesNotFitRestartsFresh)
+{
+    tortureAndResume(*reference_, [](const std::string &dir) {
+        // A checksum-valid checkpoint whose first cell's warm-start
+        // incumbent names a sketch its task does not have, as one
+        // written by another build might: the strategy rejects it,
+        // and the shard starts over from round 0 with fresh cells.
+        const std::string path = newestCheckpoint(dir);
+        auto payload = readCheckpoint(path);
+        ASSERT_TRUE(payload.has_value());
+        const size_t blob = payload->find("grad-search v1 ");
+        ASSERT_NE(blob, std::string::npos);
+        const size_t sketchIndex = payload->find('\n', blob) + 1;
+        ASSERT_NE(payload->substr(blob, 17), "grad-search v1 -1");
+        (*payload)[sketchIndex] = '9';
+        ASSERT_TRUE(writeCheckpoint(path, *payload));
+    });
+}
+
 TEST(Merge, RefusesIncompleteShardDirectory)
 {
     const std::string dir = makeTempDir();
