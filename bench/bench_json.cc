@@ -57,7 +57,7 @@ int
 runSuite(int argc, char **argv, const std::string &bench,
          const std::string &header, const RunFields &runFields)
 {
-    std::string jsonPath = "BENCH_" + bench + ".json";
+    std::string jsonPath;
     // Peel off --json-out=FILE before google-benchmark sees argv.
     int argOut = 1;
     for (int i = 1; i < argc; ++i) {
@@ -74,6 +74,8 @@ runSuite(int argc, char **argv, const std::string &bench,
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
+    if (jsonPath.empty())
+        return 0;
 
     const std::string out =
         renderJson(bench, header, reporter.runs(), runFields);

@@ -63,10 +63,11 @@ std::string renderJson(const std::string &bench,
                        const RunFields &runFields = {});
 
 /**
- * main() of a suite: peels --json-out=FILE (default
- * BENCH_<bench>.json in the working directory) off argv, runs the
- * registered benchmarks with console output, and writes the report.
- * Returns the process exit code.
+ * main() of a suite: peels --json-out=FILE off argv, runs the
+ * registered benchmarks with console output, and writes the report
+ * to FILE. Without --json-out no file is written, so a filtered run
+ * cannot replace a committed BENCH_<bench>.json baseline by
+ * accident. Returns the process exit code.
  */
 int runSuite(int argc, char **argv, const std::string &bench,
              const std::string &header = "",

@@ -5,13 +5,12 @@
  * the request's graph, partition, hash, answer every subgraph from
  * the schedule cache) vs cache misses (cold subgraphs: sketch
  * generation, task registration, one initial measurement), plus the
- * daemon's bookkeeping in isolation — count-min sketch updates,
- * heavy-hitter heap updates, and traffic-weighted scheduler picks
- * over a large task table.
+ * background-round task pick (tuner::pickTask weighted by traffic
+ * share) in isolation over a large task table.
  *
- * Besides the console table, results are written machine-readable to
- * BENCH_serve.json in the working directory (override with
- * --json-out=FILE); datapoints are recorded in EXPERIMENTS.md. The
+ * Besides the console table, --json-out=FILE writes the results
+ * machine-readable to FILE (the committed baseline is
+ * BENCH_serve.json); datapoints are recorded in EXPERIMENTS.md. The
  * cached path must beat the uncached path by well over an order of
  * magnitude — that gap is the reason the daemon exists.
  */
@@ -24,10 +23,9 @@
 #include "bench_json.h"
 #include "costmodel/dataset.h"
 #include "graph/graph.h"
-#include "serve/scheduler.h"
 #include "serve/server.h"
-#include "serve/traffic.h"
 #include "support/rng.h"
+#include "tuner/tuner.h"
 
 namespace {
 
@@ -129,47 +127,6 @@ BM_RequestUncached(benchmark::State &state)
 }
 BENCHMARK(BM_RequestUncached)->Unit(benchmark::kMillisecond);
 
-/** Count-min sketch update throughput (per-request bookkeeping). */
-void
-BM_SketchAdd(benchmark::State &state)
-{
-    serve::CountMinSketch sketch;
-    Rng rng(1);
-    std::vector<uint64_t> keys(4096);
-    for (uint64_t &key : keys)
-        key = rng.next() % 512;
-    size_t i = 0;
-    for (auto _ : state) {
-        sketch.add(keys[i++ & 4095]);
-        benchmark::DoNotOptimize(sketch.total());
-    }
-    state.counters["updates_per_s"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SketchAdd);
-
-/** Heavy-hitter heap update throughput at capacity (evictions). */
-void
-BM_HeavyHitterUpdate(benchmark::State &state)
-{
-    serve::HeavyHitters heap(16);
-    Rng rng(2);
-    std::vector<uint64_t> keys(4096);
-    for (uint64_t &key : keys)
-        key = rng.next() % 512;
-    uint64_t count = 0;
-    size_t i = 0;
-    for (auto _ : state) {
-        heap.update(keys[i++ & 4095], ++count);
-        benchmark::DoNotOptimize(heap.minCount());
-    }
-    state.counters["updates_per_s"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_HeavyHitterUpdate);
-
 /**
  * Scheduler overhead: one traffic-weighted pick over a task table
  * far larger than any real daemon accumulates. This is the fixed
@@ -179,19 +136,22 @@ void
 BM_SchedulerPick(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    serve::CountMinSketch traffic;
-    std::vector<serve::TaskStats> tasks(n);
+    std::vector<tuner::TaskRecord> tasks(n);
+    std::vector<double> shares(n);
     Rng rng(3);
+    double total = 0.0;
     for (int i = 0; i < n; ++i) {
-        tasks[i].hash = rng.next();
         tasks[i].bestLatencySec =
             1e-4 + 1e-6 * static_cast<double>(i);
         tasks[i].rounds = 1 + static_cast<int>(rng.next() % 4);
         tasks[i].stagnantRounds = static_cast<int>(rng.next() % 8);
-        traffic.add(tasks[i].hash, 1 + rng.next() % 100);
+        shares[i] = static_cast<double>(1 + rng.next() % 100);
+        total += shares[i];
     }
+    for (double &share : shares)
+        share /= total;
     for (auto _ : state) {
-        int pick = serve::pickNextTask(tasks, traffic);
+        int pick = tuner::pickTask(tasks, shares);
         benchmark::DoNotOptimize(pick);
     }
     state.counters["picks_per_s"] = benchmark::Counter(

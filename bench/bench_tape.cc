@@ -16,9 +16,9 @@
  * the whole width sweep. Instruction counts before/after the tape
  * optimizer are reported as counters.
  *
- * Besides the console table, results are written machine-readable to
- * BENCH_tape.json in the working directory (override with
- * --json-out=FILE); datapoints are recorded in EXPERIMENTS.md. The
+ * Besides the console table, --json-out=FILE writes the results
+ * machine-readable to FILE (the committed baseline is
+ * BENCH_tape.json); datapoints are recorded in EXPERIMENTS.md. The
  * widest batched backend must clear 2x the scalar points/sec.
  */
 #include <benchmark/benchmark.h>

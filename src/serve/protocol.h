@@ -166,7 +166,7 @@ struct TaskProgress
     double bestLatencySec = 0.0;
     int rounds = 0;
     int stagnantRounds = 0;
-    uint64_t trafficCount = 0;   ///< sketch estimate for the hash
+    uint64_t trafficCount = 0;   ///< summed task weights served
     double trafficShare = 0.0;   ///< trafficCount / traffic total
     uint64_t cacheHits = 0;      ///< hits served for this hash
 

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -51,15 +52,21 @@ recordOf(const tuner::TaskRecord &record, double clock_sec)
     return out;
 }
 
+/** A response's JSON line, timed as the serve.encode span. */
+template <typename Response>
+std::string
+encode(const Response &response)
+{
+    FELIX_SPAN("serve.encode", "serve");
+    return response.toJson();
+}
+
 } // namespace
 
 ServeSession::ServeSession(ServeOptions options,
                            costmodel::CostModel model)
     : options_(std::move(options)),
       deviceKind_(sim::parseDevice(options_.device)),
-      traffic_(options_.sketchDepth, options_.sketchWidth,
-               options_.tuner.seed),
-      heavy_(options_.heavyHitterK),
       hitWindow_(options_.hitWindow),
       answerLatencyUs_(obs::Histogram::logBounds(1.0, 1e7, 9)),
       requestRate_(1000000)
@@ -115,7 +122,11 @@ ServeSession::handle(const std::string &line)
     obs::ScopedRequestId requestId(requests_);
 
     std::string error;
-    auto request = parseRequest(line, &error);
+    std::optional<Request> request;
+    {
+        FELIX_SPAN("serve.parse", "serve");
+        request = parseRequest(line, &error);
+    }
     obs::FlightRecorder::instance().record(
         obs::FlightKind::Request, requests_,
         request ? static_cast<uint64_t>(request->op) : 0);
@@ -155,19 +166,27 @@ ServeSession::dispatch(const Request &request)
                   "this daemon tunes for " + options_.device +
                   ", not " + request.device);
           }
-          auto network = buildNetwork(request.network, request.batch);
+          std::optional<graph::Graph> network;
+          {
+              FELIX_SPAN("serve.build_network", "serve");
+              network = buildNetwork(request.network, request.batch);
+          }
           if (!network)
               return errorResponse("unknown network \"" +
                                    request.network + "\"");
-          return tune(request.network, graph::partition(*network))
-              .toJson();
+          std::vector<graph::Task> networkTasks;
+          {
+              FELIX_SPAN("serve.partition", "serve");
+              networkTasks = graph::partition(*network);
+          }
+          return encode(tune(request.network, networkTasks));
       }
       case Op::Rounds:
-          return runRounds(request.rounds).toJson();
+          return encode(runRounds(request.rounds));
       case Op::Stats:
-          return stats().toJson();
+          return encode(stats());
       case Op::Tasks:
-          return tasks().toJson();
+          return encode(tasks());
       case Op::Metrics:
           // Explicitly wall-clock: the registry snapshot carries
           // timing counters and rate gauges. Never byte-compared.
@@ -175,13 +194,13 @@ ServeSession::dispatch(const Request &request)
                  obs::MetricsRegistry::instance().snapshot().toJson() +
                  "}";
       case Op::Dump:
-          return dump().toJson();
+          return encode(dump());
       case Op::Flush: {
           FlushResponse response;
           response.persisted = persist();
           if (!options_.checkpointPath.empty())
               response.checkpointed = writeCheckpoint() ? 1 : 0;
-          return response.toJson();
+          return encode(response);
       }
       case Op::Shutdown:
           shutdown_ = true;
@@ -233,8 +252,10 @@ ServeSession::tune(const std::string &network_name,
         const uint64_t hash = hashes[i];
         // Traffic accounting: each occurrence of the subgraph in
         // the requested network is one unit of fleet traffic.
-        traffic_.add(hash, static_cast<uint64_t>(task.weight));
-        heavy_.update(hash, traffic_.estimate(hash));
+        uint64_t &count = traffic_[hash];
+        count += static_cast<uint64_t>(task.weight);
+        trafficTotal_ += static_cast<uint64_t>(task.weight);
+        trafficMax_ = std::max(trafficMax_, count);
 
         TaskAnswer answer;
         answer.label = task.exampleLabel;
@@ -291,11 +312,10 @@ ServeSession::tune(const std::string &network_name,
 
     registry.gauge("serve.tasks").set(
         static_cast<double>(tuner_->taskRecords().size()));
-    auto hitters = heavy_.items();
-    if (!hitters.empty() && traffic_.total() > 0) {
+    if (trafficTotal_ > 0) {
         registry.gauge("serve.heavy_hitter_share")
-            .set(static_cast<double>(hitters.front().second) /
-                 static_cast<double>(traffic_.total()));
+            .set(static_cast<double>(trafficMax_) /
+                 static_cast<double>(trafficTotal_));
     }
     return response;
 }
@@ -308,26 +328,24 @@ ServeSession::runRounds(int n)
     RoundsResponse response;
     for (int i = 0; i < n; ++i) {
         const auto &records = tuner_->taskRecords();
-        if (records.empty())
-            break;
-        std::vector<TaskStats> stats;
-        stats.reserve(records.size());
+        // The tuner's task pick, weighted by each task's exact share
+        // of the traffic served instead of by its network weight.
+        std::vector<double> shares;
+        shares.reserve(records.size());
         for (const tuner::TaskRecord &record : records) {
-            stats.push_back(
-                {record.task.subgraph.structuralHash(),
-                 record.bestLatencySec, record.rounds,
-                 record.stagnantRounds});
+            shares.push_back(trafficShare(
+                trafficCount(record.task.subgraph.structuralHash())));
         }
-        const int taskIndex = pickNextTask(stats, traffic_);
+        const int taskIndex = tuner::pickTask(records, shares);
         if (taskIndex < 0)
             break;
+        const tuner::TaskRecord &record = records[taskIndex];
         obs::FlightRecorder::instance().record(
             obs::FlightKind::RoundPick, obs::currentRequestId(),
-            stats[taskIndex].hash);
+            record.task.subgraph.structuralHash());
         tuner_->tuneTaskRound(taskIndex);
         ++roundsRun_;
         registry.counter("serve.rounds").add(1.0);
-        const tuner::TaskRecord &record = records[taskIndex];
         cache_.put(recordOf(record, tuner_->clockNow()));
         response.tunedLabels.push_back(record.task.exampleLabel);
     }
@@ -347,15 +365,23 @@ ServeSession::stats() const
     response.cacheSize = cache_.size();
     response.tasks = tuner_->taskRecords().size();
     response.roundsRun = roundsRun_;
-    response.trafficTotal = traffic_.total();
-    for (const auto &[hash, count] : heavy_.items()) {
+    response.trafficTotal = trafficTotal_;
+    // The top kHeavyHitters hashes by count, ties to the lower hash,
+    // so the list does not depend on the order traffic arrived in.
+    std::vector<std::pair<uint64_t, uint64_t>> counts(traffic_.begin(),
+                                                      traffic_.end());
+    const size_t listed = std::min(kHeavyHitters, counts.size());
+    std::partial_sort(counts.begin(), counts.begin() + listed,
+                      counts.end(), [](const auto &a, const auto &b) {
+                          if (a.second != b.second)
+                              return a.second > b.second;
+                          return a.first < b.first;
+                      });
+    for (size_t i = 0; i < listed; ++i) {
         HeavyHitterInfo info;
-        info.hash = hash;
-        info.count = count;
-        info.share = traffic_.total() == 0
-                         ? 0.0
-                         : static_cast<double>(count) /
-                               static_cast<double>(traffic_.total());
+        info.hash = counts[i].first;
+        info.count = counts[i].second;
+        info.share = trafficShare(info.count);
         response.heavyHitters.push_back(info);
     }
     response.window.size = hitWindow_.window();
@@ -379,7 +405,6 @@ TasksResponse
 ServeSession::tasks() const
 {
     TasksResponse response;
-    const uint64_t total = traffic_.total();
     for (const tuner::TaskRecord &record : tuner_->taskRecords()) {
         TaskProgress progress;
         progress.label = record.task.exampleLabel;
@@ -387,11 +412,8 @@ ServeSession::tasks() const
         progress.bestLatencySec = record.bestLatencySec;
         progress.rounds = record.rounds;
         progress.stagnantRounds = record.stagnantRounds;
-        progress.trafficCount = traffic_.estimate(progress.hash);
-        progress.trafficShare =
-            total == 0 ? 0.0
-                       : static_cast<double>(progress.trafficCount) /
-                             static_cast<double>(total);
+        progress.trafficCount = trafficCount(progress.hash);
+        progress.trafficShare = trafficShare(progress.trafficCount);
         if (const CacheEntry *entry = cache_.lookup(progress.hash))
             progress.cacheHits = entry->hits;
         response.tasks.push_back(std::move(progress));
@@ -480,6 +502,21 @@ ServeSession::runStdio(std::istream &in, std::ostream &out)
     writeCheckpoint();
     finalizeLogs();
     return 0;
+}
+
+uint64_t
+ServeSession::trafficCount(uint64_t hash) const
+{
+    auto it = traffic_.find(hash);
+    return it == traffic_.end() ? 0 : it->second;
+}
+
+double
+ServeSession::trafficShare(uint64_t count) const
+{
+    return trafficTotal_ == 0 ? 0.0
+                              : static_cast<double>(count) /
+                                    static_cast<double>(trafficTotal_);
 }
 
 int

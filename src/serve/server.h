@@ -2,9 +2,10 @@
  * @file
  * The felix-serve session: a long-lived tuning service answering
  * NDJSON schedule requests (protocol.h) from a schedule cache
- * (cache.h), accounting fleet traffic (traffic.h), and spending
- * background tuning rounds on the subgraphs that dominate fleet
- * latency (scheduler.h) through a reentrant GraphTuner.
+ * (cache.h), counting fleet traffic exactly per subgraph hash, and
+ * spending background tuning rounds on the subgraphs that dominate
+ * fleet latency (tuner::pickTask weighted by traffic share) through
+ * a reentrant GraphTuner.
  *
  * The session is transport-agnostic: handle() maps one request
  * line to one response line, runStdio() pumps std::istream ->
@@ -26,6 +27,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -34,8 +36,6 @@
 #include "obs/window.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
-#include "serve/scheduler.h"
-#include "serve/traffic.h"
 #include "sim/device.h"
 #include "tuner/tuner.h"
 
@@ -57,10 +57,6 @@ struct ServeOptions
      *  left off, not just its cached schedules) and rewritten
      *  crash-safely on flush and shutdown (docs/distributed.md). */
     std::string checkpointPath;
-    /** Heavy-hitter slots and count-min sketch geometry. */
-    size_t heavyHitterK = 8;
-    int sketchDepth = 4;
-    int sketchWidth = 2048;
     /** Sliding window (in subgraph lookups) for the windowed cache
      *  hit rate reported by the admin stats op. */
     size_t hitWindow = 256;
@@ -72,6 +68,9 @@ struct ServeOptions
 class ServeSession
 {
   public:
+    /** Hashes listed as heavy hitters by the admin stats op. */
+    static constexpr size_t kHeavyHitters = 8;
+
     ServeSession(ServeOptions options, costmodel::CostModel model);
 
     /** One request line in, one response line out (no newline). */
@@ -125,8 +124,6 @@ class ServeSession
     {
         return options_.serveLogPath;
     }
-    const CountMinSketch &traffic() const { return traffic_; }
-    const HeavyHitters &heavyHitters() const { return heavy_; }
     const ScheduleCache &cache() const { return cache_; }
 
     /** Tuning rounds spent on the task with @p hash (tests). */
@@ -134,6 +131,10 @@ class ServeSession
 
   private:
     std::string dispatch(const Request &request);
+    /** Summed task weights served for @p hash (0 if never seen). */
+    uint64_t trafficCount(uint64_t hash) const;
+    /** @p count over the traffic total (0 with no traffic yet). */
+    double trafficShare(uint64_t count) const;
     void logRequest(const Request &request,
                     const std::string &response, double wall_us);
 
@@ -141,8 +142,12 @@ class ServeSession
     sim::DeviceKind deviceKind_;
     std::unique_ptr<tuner::GraphTuner> tuner_;
     ScheduleCache cache_;
-    CountMinSketch traffic_;
-    HeavyHitters heavy_;
+    /** Exact traffic: per subgraph hash, the summed weights of every
+     *  task occurrence served; their total; and the largest count
+     *  (the serve.heavy_hitter_share gauge). */
+    std::unordered_map<uint64_t, uint64_t> traffic_;
+    uint64_t trafficTotal_ = 0;
+    uint64_t trafficMax_ = 0;
     std::ofstream serveLog_;
     bool shutdown_ = false;
     uint64_t requests_ = 0;

@@ -1,6 +1,7 @@
 #include "tuner/records.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -112,14 +113,20 @@ loadRecords(const std::string &path)
             ++corrupt;
             continue;
         }
-        if (numVars > 4096) {
+        // A line that parses can still not be a measurement: a
+        // latency that is not finite and positive, a negative sketch
+        // index or a non-finite schedule value would otherwise win
+        // historyBest or index past the sketches.
+        if (numVars > 4096 || record.sketchIndex < 0 ||
+            !std::isfinite(record.latencySec) ||
+            record.latencySec <= 0.0) {
             ++corrupt;
             continue;
         }
         record.scheduleVars.resize(numVars);
         bool ok = true;
         for (double &v : record.scheduleVars)
-            ok = ok && static_cast<bool>(ls >> v);
+            ok = ok && static_cast<bool>(ls >> v) && std::isfinite(v);
         if (!ok) {
             ++corrupt;
             continue;

@@ -55,7 +55,11 @@ void appendRawText(const std::string &path, const std::string &text);
 /**
  * Load every well-formed record. Corrupt lines are skipped, counted
  * into the `records.corrupt_lines` metric, and reported with one
- * warning per file.
+ * warning per file. A line is corrupt when a field does not parse,
+ * when it has more than 4096 schedule values or a non-finite one,
+ * when its sketch index is negative, or when its latency is not
+ * finite and positive. Whether the sketch index and the values fit
+ * the task's sketches is left to the caller that knows the task.
  */
 std::vector<TuneRecord> loadRecords(const std::string &path);
 

@@ -133,23 +133,26 @@ GraphTuner::networkLatency() const
 }
 
 int
-GraphTuner::selectNextTask()
+pickTask(const std::vector<TaskRecord> &tasks,
+         const std::vector<double> &weights)
 {
+    if (tasks.empty())
+        return -1;
     // First pass: visit every task once.
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-        if (tasks_[i].rounds == 0)
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        if (tasks[i].rounds == 0)
             return static_cast<int>(i);
     }
-    // Ansor's task scheduler: spend rounds where the most network
-    // time remains, backing off tasks that stopped improving.
+    // Spend rounds where the most weighted time remains, backing off
+    // tasks that stopped improving.
     int best = 0;
     double bestScore = -1.0;
-    for (size_t i = 0; i < tasks_.size(); ++i) {
-        const TaskRecord &record = tasks_[i];
-        double share = record.task.weight * record.bestLatencySec;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        const TaskRecord &record = tasks[i];
+        double remaining = weights[i] * record.bestLatencySec;
         double backoff =
             std::pow(0.5, std::min(6, record.stagnantRounds));
-        double score = share * backoff;
+        double score = remaining * backoff;
         if (score > bestScore) {
             bestScore = score;
             best = static_cast<int>(i);
@@ -161,7 +164,11 @@ GraphTuner::selectNextTask()
 void
 GraphTuner::tuneOneRound()
 {
-    tuneTaskRound(selectNextTask());
+    std::vector<double> weights;
+    weights.reserve(tasks_.size());
+    for (const TaskRecord &record : tasks_)
+        weights.push_back(record.task.weight);
+    tuneTaskRound(pickTask(tasks_, weights));
 }
 
 RoundOutcome

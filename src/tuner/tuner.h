@@ -189,6 +189,18 @@ struct RoundOutcome
  */
 RoundOutcome runTaskRound(TaskRecord &record, const RoundEnv &env);
 
+/**
+ * Ansor's task scheduler (Algorithm 2's task pick): the first task
+ * with no round yet; otherwise the task where the most weighted
+ * latency remains, weights[i] * bestLatencySec, halved per stagnant
+ * round up to 6, with ties going to the lowest index. Returns -1
+ * when @p tasks is empty. GraphTuner weighs a task by its
+ * occurrences in the network, felix-serve by its exact share of the
+ * traffic served (docs/serving.md).
+ */
+int pickTask(const std::vector<TaskRecord> &tasks,
+             const std::vector<double> &weights);
+
 /** Round-based full-graph tuner (Algorithm 2). */
 class GraphTuner
 {
@@ -216,9 +228,9 @@ class GraphTuner
     int addTasks(std::vector<graph::Task> tasks);
 
     /**
-     * Run one tuning round on one specific task, letting an external
-     * policy (e.g. the traffic-weighted serving scheduler) replace
-     * the built-in Ansor-style task selection.
+     * Run one tuning round on one specific task, picked by the
+     * caller (felix-serve weighs pickTask by traffic share instead
+     * of by task weight).
      */
     void tuneTaskRound(int task_index);
 
@@ -288,7 +300,6 @@ class GraphTuner
         std::string strategyBlob;
     };
 
-    int selectNextTask();
     void tuneOneRound();
     /** Overlay the parked state for @p record's hash, if any. */
     bool restoreTask(TaskRecord &record);

@@ -2,10 +2,16 @@
  * @file
  * Tests for the BENCH_*.json capture shared by bench_tape and
  * bench_serve: per-iteration real time reaches the report in
- * nanoseconds whatever a benchmark's Unit(), and the rendered report
- * parses back with the fields felix-bench-diff matches on.
+ * nanoseconds whatever a benchmark's Unit(), the rendered report
+ * parses back with the fields felix-bench-diff matches on, and a
+ * suite writes a report only when asked to.
  */
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "bench/bench_json.h"
 #include "obs/json.h"
@@ -45,7 +51,7 @@ TEST(BenchJson, RenderedReportParsesBack)
     runs[0].name = "BM_RequestUncached";
     runs[0].realTimeNs = 7.45e6;
     runs[0].counters["requests_per_s"] = 134.2;
-    runs[1].name = "BM_SketchAdd";
+    runs[1].name = "BM_SchedulerPick/64";
     runs[1].realTimeNs = 25.5;
     const std::string text = renderJson(
         "serve", "  \"batch_lanes\": 16,\n", runs,
@@ -68,6 +74,28 @@ TEST(BenchJson, RenderedReportParsesBack)
     EXPECT_DOUBLE_EQ(first.numberOr("requests_per_s", 0.0), 134.2);
     EXPECT_DOUBLE_EQ(
         results->asArray()[1].numberOr("real_time_ns", 0.0), 25.5);
+}
+
+TEST(BenchJson, NoReportWithoutJsonOut)
+{
+    // A filtered run from the repository root once replaced a
+    // committed baseline: without --json-out nothing may be written.
+    namespace fs = std::filesystem;
+    const fs::path home = fs::current_path();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("bench_json_no_report_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    ASSERT_TRUE(fs::create_directory(dir));
+    fs::current_path(dir);
+    std::string name = "bench_test";
+    std::string filter = "--benchmark_filter=^NoSuchBenchmark$";
+    char *argv[] = {name.data(), filter.data(), nullptr};
+    const int rc = runSuite(2, argv, "test");
+    fs::current_path(home);
+    EXPECT_EQ(rc, 0);
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }
 
 } // namespace

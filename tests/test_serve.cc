@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests of the serving subsystem: count-min sketch error bounds on
- * adversarial streams, heavy-hitter heap eviction order, schedule
- * cache persistence, traffic-weighted scheduling, the NDJSON
- * protocol codec, crash-safe record appends, and the full
+ * Tests of the serving subsystem: the tuner's task pick weighted by
+ * traffic share, schedule cache persistence, the NDJSON protocol
+ * codec, crash-safe record appends and record validation, exact
+ * traffic counts and the heavy-hitter order, and the full
  * ServeSession cache-miss -> tune -> cache-hit round trip with
  * bit-identical replay.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -21,187 +22,82 @@
 #include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
-#include "serve/scheduler.h"
 #include "serve/server.h"
-#include "serve/traffic.h"
 #include "support/parallel.h"
-#include "support/rng.h"
 #include "tuner/records.h"
+#include "tuner/tuner.h"
 
 namespace felix {
 namespace serve {
 namespace {
 
 // ---------------------------------------------------------------
-// Count-min sketch
-// ---------------------------------------------------------------
-
-TEST(CountMinSketch, NeverUnderestimates)
-{
-    CountMinSketch sketch(4, 64);   // tiny: force collisions
-    std::map<uint64_t, uint64_t> exact;
-    Rng rng(11);
-    for (int i = 0; i < 20000; ++i) {
-        uint64_t key = rng.next() % 500;
-        sketch.add(key);
-        ++exact[key];
-    }
-    EXPECT_EQ(sketch.total(), 20000u);
-    for (const auto &[key, count] : exact)
-        EXPECT_GE(sketch.estimate(key), count) << "key " << key;
-}
-
-TEST(CountMinSketch, ErrorBoundOnAdversarialStream)
-{
-    // Adversarial: one heavy hitter drowned in a long tail of
-    // distinct keys, all competing for the same counters.
-    const int width = 512, depth = 4;
-    CountMinSketch sketch(depth, width);
-    const uint64_t heavy = 0xfe11f00dull;
-    const uint64_t heavyCount = 10000;
-    uint64_t total = 0;
-    Rng rng(5);
-    for (uint64_t i = 0; i < heavyCount; ++i, ++total)
-        sketch.add(heavy);
-    for (int i = 0; i < 90000; ++i, ++total)
-        sketch.add(rng.next());   // ~90k nearly-distinct tail keys
-    // Classic guarantee: estimate <= exact + (e / width) * N with
-    // probability 1 - e^-depth; conservative update only tightens
-    // it. Allow the full bound.
-    const double slack = 2.718281828 / width * double(total);
-    EXPECT_GE(sketch.estimate(heavy), heavyCount);
-    EXPECT_LE(sketch.estimate(heavy),
-              heavyCount + uint64_t(slack) + 1);
-    EXPECT_NEAR(sketch.share(heavy), 0.1, 0.01);
-}
-
-TEST(CountMinSketch, DeterministicAcrossInstances)
-{
-    CountMinSketch a(4, 256), b(4, 256);
-    for (uint64_t key = 0; key < 1000; ++key) {
-        a.add(key * 2654435761u, key % 7 + 1);
-        b.add(key * 2654435761u, key % 7 + 1);
-    }
-    for (uint64_t key = 0; key < 1000; ++key)
-        EXPECT_EQ(a.estimate(key * 2654435761u),
-                  b.estimate(key * 2654435761u));
-}
-
-// ---------------------------------------------------------------
-// Heavy-hitter heap
-// ---------------------------------------------------------------
-
-TEST(HeavyHitters, TracksTopKAndEvictsInOrder)
-{
-    HeavyHitters heap(3);
-    heap.update(1, 10);
-    heap.update(2, 20);
-    heap.update(3, 30);
-    EXPECT_EQ(heap.minCount(), 10u);
-
-    // Not heavier than the minimum: rejected.
-    heap.update(4, 10);
-    EXPECT_FALSE(heap.contains(4));
-
-    // Heavier: evicts the current minimum (key 1).
-    heap.update(5, 15);
-    EXPECT_FALSE(heap.contains(1));
-    EXPECT_TRUE(heap.contains(5));
-    EXPECT_EQ(heap.minCount(), 15u);
-
-    // Growing a tracked key re-sorts without eviction.
-    heap.update(5, 50);
-    EXPECT_EQ(heap.minCount(), 20u);
-
-    auto items = heap.items();
-    ASSERT_EQ(items.size(), 3u);
-    EXPECT_EQ(items[0].first, 5u);   // 50
-    EXPECT_EQ(items[1].first, 3u);   // 30
-    EXPECT_EQ(items[2].first, 2u);   // 20
-}
-
-TEST(HeavyHitters, EvictionSequenceUnderRisingStream)
-{
-    // Keys arrive with strictly rising counts; capacity 2 must
-    // always hold the two largest so far.
-    HeavyHitters heap(2);
-    for (uint64_t key = 1; key <= 100; ++key)
-        heap.update(key, key * 10);
-    auto items = heap.items();
-    ASSERT_EQ(items.size(), 2u);
-    EXPECT_EQ(items[0].first, 100u);
-    EXPECT_EQ(items[1].first, 99u);
-}
-
-TEST(HeavyHitters, ItemsOrderIsDeterministicOnTies)
-{
-    HeavyHitters heap(4);
-    heap.update(42, 7);
-    heap.update(7, 7);
-    heap.update(99, 7);
-    auto items = heap.items();
-    ASSERT_EQ(items.size(), 3u);
-    EXPECT_EQ(items[0].first, 7u);
-    EXPECT_EQ(items[1].first, 42u);
-    EXPECT_EQ(items[2].first, 99u);
-}
-
-// ---------------------------------------------------------------
 // Traffic-weighted scheduler
 // ---------------------------------------------------------------
 
+/** The tuning progress tuner::pickTask reads, per task. */
+struct Progress
+{
+    double bestLatencySec = 0.0;
+    int rounds = 0;
+    int stagnantRounds = 0;
+};
+
+std::vector<tuner::TaskRecord>
+progressRecords(const std::vector<Progress> &rows)
+{
+    std::vector<tuner::TaskRecord> records(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        records[i].bestLatencySec = rows[i].bestLatencySec;
+        records[i].rounds = rows[i].rounds;
+        records[i].stagnantRounds = rows[i].stagnantRounds;
+    }
+    return records;
+}
+
 TEST(TrafficScheduler, SkewedTrafficPicksHotTask)
 {
-    CountMinSketch traffic;
-    traffic.add(100, 90);
-    traffic.add(200, 10);
-    // Equal remaining latency: traffic decides — and the hot task
-    // wins even from the higher index (no index bias).
-    std::vector<TaskStats> tasks = {{200, 1e-3, 1, 0},
-                                    {100, 1e-3, 1, 0}};
-    EXPECT_EQ(pickNextTask(tasks, traffic), 1);
+    // Traffic 10:90. Equal remaining latency: traffic decides — and
+    // the hot task wins even from the higher index (no index bias).
+    auto tasks = progressRecords({{1e-3, 1, 0}, {1e-3, 1, 0}});
+    const std::vector<double> shares = {0.1, 0.9};
+    EXPECT_EQ(tuner::pickTask(tasks, shares), 1);
     // 9x the traffic loses to 10x the remaining latency: the score
     // is the product, exactly the paper's rule with shares for
     // weights.
     tasks[0].bestLatencySec = 1e-2;
-    EXPECT_EQ(pickNextTask(tasks, traffic), 0);
+    EXPECT_EQ(tuner::pickTask(tasks, shares), 0);
 }
 
 TEST(TrafficScheduler, VisitOnceBeforeWeighting)
 {
-    CountMinSketch traffic;
-    traffic.add(100, 1000);
-    std::vector<TaskStats> tasks = {{100, 1e-3, 3, 0},
-                                    {200, 1e-3, 0, 0}};
-    // Task 200 has zero traffic but has never been tuned: the
+    auto tasks = progressRecords({{1e-3, 3, 0}, {1e-3, 0, 0}});
+    // Task 1 has zero traffic but has never been tuned: the
     // visit-once warm-up picks it first.
-    EXPECT_EQ(pickNextTask(tasks, traffic), 1);
+    EXPECT_EQ(tuner::pickTask(tasks, {1.0, 0.0}), 1);
 }
 
 TEST(TrafficScheduler, StagnationBacksOff)
 {
-    CountMinSketch traffic;
-    traffic.add(100, 60);
-    traffic.add(200, 40);
-    std::vector<TaskStats> tasks = {{100, 1e-3, 5, 2},
-                                    {200, 1e-3, 5, 0}};
+    auto tasks = progressRecords({{1e-3, 5, 2}, {1e-3, 5, 0}});
+    const std::vector<double> shares = {0.6, 0.4};
     // 0.6 * 0.25 < 0.4: the stagnant hot task yields.
-    EXPECT_EQ(pickNextTask(tasks, traffic), 1);
-    EXPECT_LT(trafficScore(tasks[0], traffic),
-              trafficScore(tasks[1], traffic));
+    EXPECT_EQ(tuner::pickTask(tasks, shares), 1);
+    // Without the back-off the hot task wins again.
+    tasks[0].stagnantRounds = 0;
+    EXPECT_EQ(tuner::pickTask(tasks, shares), 0);
 }
 
 TEST(TrafficScheduler, UniformTrafficDegeneratesToAnsorRule)
 {
     // With every task equally requested, the policy must reduce to
     // remaining-latency scheduling (the paper's Algorithm 2 rule).
-    CountMinSketch traffic;
-    traffic.add(1, 10);
-    traffic.add(2, 10);
-    traffic.add(3, 10);
-    std::vector<TaskStats> tasks = {
-        {1, 1e-3, 1, 0}, {2, 5e-3, 1, 0}, {3, 2e-3, 1, 0}};
-    EXPECT_EQ(pickNextTask(tasks, traffic), 1);
+    auto tasks =
+        progressRecords({{1e-3, 1, 0}, {5e-3, 1, 0}, {2e-3, 1, 0}});
+    const std::vector<double> shares(3, 1.0 / 3.0);
+    EXPECT_EQ(tuner::pickTask(tasks, shares), 1);
+    EXPECT_EQ(tuner::pickTask(tasks, shares),
+              tuner::pickTask(tasks, {1.0, 1.0, 1.0}));
 }
 
 // ---------------------------------------------------------------
@@ -303,6 +199,36 @@ TEST(Records, CorruptLinesAreCountedAndSkipped)
     auto loaded = tuner::loadRecords(path);
     EXPECT_EQ(loaded.size(), 2u);
     EXPECT_DOUBLE_EQ(corrupt.value() - before, 3.0);
+    std::remove(path);
+}
+
+TEST(Records, ImpossibleMeasurementsAreCorruptLines)
+{
+    const char *path = "test_serve_impossible_tmp.log";
+    std::remove(path);
+    tuner::appendRecord(path, makeRecord(5, 2e-4));
+    {
+        // Each parses and would beat the valid line in historyBest.
+        std::ofstream os(path, std::ios::app);
+        os << "5 0 0 1 3 2 4 8 task_5\n";        // latency 0
+        os << "5 0 -1e-3 1 3 2 4 8 task_5\n";    // negative latency
+        os << "5 -1 1e-5 1 3 2 4 8 task_5\n";    // sketch index -1
+    }
+    auto &corrupt = obs::MetricsRegistry::instance().counter(
+        "records.corrupt_lines");
+    const double before = corrupt.value();
+    auto loaded = tuner::loadRecords(path);
+    EXPECT_DOUBLE_EQ(corrupt.value() - before, 3.0);
+    auto best = tuner::historyBest(loaded);
+    ASSERT_EQ(best.size(), 1u);
+    EXPECT_DOUBLE_EQ(best[0].latencySec, 2e-4);
+    EXPECT_EQ(best[0].sketchIndex, 0);
+
+    ScheduleCache cache;
+    EXPECT_EQ(cache.warmStart(path), 1u);
+    ASSERT_NE(cache.lookup(5), nullptr);
+    EXPECT_DOUBLE_EQ(cache.lookup(5)->best.latencySec, 2e-4);
+    EXPECT_EQ(cache.lookup(5)->best.sketchIndex, 0);
     std::remove(path);
 }
 
@@ -550,8 +476,12 @@ TEST(ServeSession, SkewedTrafficShiftsRoundsToHotSubgraph)
     for (int i = 0; i < 8; ++i)
         session.tune("hot", hot);
 
-    EXPECT_GT(session.traffic().share(hotHash), 0.8);
-    EXPECT_LT(session.traffic().share(coldHash), 0.2);
+    TasksResponse progress = session.tasks();
+    ASSERT_EQ(progress.tasks.size(), 2u);
+    EXPECT_EQ(progress.tasks[0].hash, coldHash);
+    EXPECT_EQ(progress.tasks[1].hash, hotHash);
+    EXPECT_GT(progress.tasks[1].trafficShare, 0.8);
+    EXPECT_LT(progress.tasks[0].trafficShare, 0.2);
 
     // Round 1 and 2 are the visit-once warm-up; round 3 must go to
     // the hot subgraph even though it registered second.
@@ -560,6 +490,83 @@ TEST(ServeSession, SkewedTrafficShiftsRoundsToHotSubgraph)
     EXPECT_EQ(rounds.tunedLabels[2], "hot_fc");
     EXPECT_GT(session.roundsOnTask(hotHash),
               session.roundsOnTask(coldHash));
+}
+
+TEST(ServeSession, TrafficCountsAreExactAndHeavyHittersOrdered)
+{
+    ServeSession session(fastOptions(), testModel());
+    std::vector<graph::Task> pool;
+    for (int i = 0; i < 10; ++i) {
+        pool.push_back(
+            denseTasks("fc" + std::to_string(i), 96 + 8 * i)[0]);
+    }
+    // The last two tie across the eighth heavy-hitter place. The one
+    // with the higher hash arrives first at every count, so only the
+    // hash can make the lower one win.
+    if (pool[8].subgraph.structuralHash() <
+        pool[9].subgraph.structuralHash())
+        std::swap(pool[8], pool[9]);
+    const std::vector<uint64_t> want = {20, 18, 16, 14, 14,
+                                        11, 10, 1,  5,  5};
+    uint64_t total = 0;
+    for (uint64_t count : want)
+        total += count;
+
+    // Requests of up to three occurrences per subgraph until every
+    // count is reached.
+    std::vector<uint64_t> sent(pool.size(), 0);
+    for (;;) {
+        std::vector<graph::Task> request;
+        for (size_t i = 0; i < pool.size(); ++i) {
+            if (sent[i] == want[i])
+                continue;
+            graph::Task task = pool[i];
+            task.weight = static_cast<int>(
+                std::min<uint64_t>(3, want[i] - sent[i]));
+            sent[i] += static_cast<uint64_t>(task.weight);
+            request.push_back(std::move(task));
+        }
+        if (request.empty())
+            break;
+        session.tune("mix", request);
+    }
+
+    TasksResponse progress = session.tasks();
+    ASSERT_EQ(progress.tasks.size(), pool.size());
+    for (size_t i = 0; i < pool.size(); ++i) {
+        const TaskProgress &task = progress.tasks[i];
+        EXPECT_EQ(task.hash, pool[i].subgraph.structuralHash());
+        EXPECT_EQ(task.trafficCount, want[i]) << "task " << i;
+        EXPECT_EQ(task.trafficShare, static_cast<double>(want[i]) /
+                                         static_cast<double>(total));
+    }
+
+    // Top kHeavyHitters by count, descending, then by hash.
+    std::vector<std::pair<uint64_t, uint64_t>> expected;   // count, hash
+    for (size_t i = 0; i < pool.size(); ++i)
+        expected.push_back({want[i], pool[i].subgraph.structuralHash()});
+    std::sort(expected.begin(), expected.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first > b.first;
+                  return a.second < b.second;
+              });
+    expected.resize(ServeSession::kHeavyHitters);
+    StatsResponse stats = session.stats();
+    EXPECT_EQ(stats.trafficTotal, total);
+    ASSERT_EQ(stats.heavyHitters.size(), ServeSession::kHeavyHitters);
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(stats.heavyHitters[i].count, expected[i].first);
+        EXPECT_EQ(stats.heavyHitters[i].hash, expected[i].second);
+        EXPECT_EQ(stats.heavyHitters[i].share,
+                  static_cast<double>(expected[i].first) /
+                      static_cast<double>(total));
+    }
+    // The tie across the eighth place goes to the lower hash.
+    EXPECT_EQ(stats.heavyHitters[7].hash,
+              pool[9].subgraph.structuralHash());
+    for (const HeavyHitterInfo &hitter : stats.heavyHitters)
+        EXPECT_NE(hitter.hash, pool[8].subgraph.structuralHash());
 }
 
 TEST(ServeSession, StdioReplayIsBitIdentical)

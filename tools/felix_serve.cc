@@ -8,8 +8,9 @@
  * Answers graph-tuning requests from a schedule cache keyed on the
  * subgraph structural hash, warm-started from (and persisted back
  * to) a tuning-record log, and spends background tuning rounds on
- * the subgraphs that dominate fleet traffic (count-min sketch +
- * heavy-hitter heap, traffic_share x remaining_latency scheduling).
+ * the subgraphs that dominate fleet latency: the tuner's task pick
+ * (tuner::pickTask), weighted by each subgraph's exact share of the
+ * traffic served instead of by its network weight.
  *
  * In --stdio mode requests are processed strictly in order and
  * tuning only runs on explicit {"op":"rounds"} requests, so a fixed
@@ -123,7 +124,6 @@ usage()
         "  --rounds-per-idle N  socket mode: background tuning\n"
         "                  rounds per idle period (default 1)\n"
         "  --idle-ms N     socket poll timeout in ms (default 50)\n"
-        "  --heavy-k N     heavy-hitter slots      (default 8)\n"
         "  --hit-window N  sliding window (lookups) for the admin\n"
         "                  windowed hit rate       (default 256)\n"
         "  --flight N      flight-recorder ring capacity\n"
@@ -300,9 +300,6 @@ main(int argc, char **argv)
             roundsPerIdle = std::atoi(next().c_str());
         else if (arg == "--idle-ms")
             idleMs = std::atoi(next().c_str());
-        else if (arg == "--heavy-k")
-            options.heavyHitterK = static_cast<size_t>(
-                std::max(1, std::atoi(next().c_str())));
         else if (arg == "--hit-window")
             options.hitWindow = static_cast<size_t>(
                 std::max(1, std::atoi(next().c_str())));
