@@ -21,8 +21,14 @@ CaptureReporter::ReportRuns(const std::vector<Run> &runs)
     for (const Run &run : runs) {
         if (run.error_occurred)
             continue;
+        // Under --benchmark_repetitions a series keeps one row, its
+        // median aggregate, under the series' own name.
+        if (run.run_type == Run::RT_Aggregate
+                ? run.aggregate_name != "median"
+                : run.repetitions > 1)
+            continue;
         CapturedRun captured;
-        captured.name = run.benchmark_name();
+        captured.name = run.run_name.str();
         captured.realTimeNs = realTimeNs(run);
         for (const auto &entry : run.counters)
             captured.counters[entry.first] = entry.second.value;

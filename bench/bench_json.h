@@ -36,7 +36,12 @@ struct CapturedRun
  */
 double realTimeNs(const benchmark::BenchmarkReporter::Run &run);
 
-/** Console output plus a capture of every successful run. */
+/**
+ * Console output plus a capture of every successful run. Run with
+ * --benchmark_repetitions=N (N > 1), it captures only each series'
+ * median aggregate, named like the series itself, so a report holds
+ * one row per series either way.
+ */
 class CaptureReporter : public benchmark::ConsoleReporter
 {
   public:

@@ -2,16 +2,19 @@
  * @file
  * Tape-engine throughput microbenchmark: points/second through a
  * production feature tape (a dense-matmul sketch's 82 feature
- * formulas), scalar vs. batched SoA, forward-only and
- * forward+backward, plus the batched MLP kernels the points feed and
- * the Adam parameter update, one cost-model fine-tune step at the
- * batch sizes a round trains on, and the end-to-end surrogate descent
- * step (grad_search_step: the scalar chain of one point, and the
- * fused step production runs — at full width, and at the 8 and 3
- * live lanes a seed batch holds in production, once more with the
- * per-lane rounding to a valid schedule). The batched series call
- * the entry points the fused step runs. Every batched benchmark
- * runs once per available SIMD backend (scalar fallback, SSE2, AVX2,
+ * formulas) on the scalar forward that constraint checks and
+ * feature evaluation run and on the batched SoA forward that
+ * ranking runs, the batched forward+backward of the descent tape,
+ * the batched MLP kernels the points feed and the Adam parameter
+ * update, one cost-model fine-tune step at the batch sizes a round
+ * trains on, and the end-to-end surrogate descent step
+ * (grad_search_step: the fused step production runs — at full
+ * width, and at the 8 and 3 live lanes a seed batch holds in
+ * production, once more with the per-lane rounding to a valid
+ * schedule). Every series calls entry points production runs; the
+ * per-point references the batched paths are checked against live
+ * in tests/support/ and are not timed. Every batched benchmark runs
+ * once per available SIMD backend (scalar fallback, SSE2, AVX2,
  * AVX-512 — whatever this build and CPU support), so one run shows
  * the whole width sweep. Instruction counts before/after the tape
  * optimizer are reported as counters.
@@ -19,7 +22,7 @@
  * Besides the console table, --json-out=FILE writes the results
  * machine-readable to FILE (the committed baseline is
  * BENCH_tape.json); datapoints are recorded in EXPERIMENTS.md. The
- * widest batched backend must clear 2x the scalar points/sec.
+ * widest batched forward must clear 2x the scalar points/sec.
  */
 #include <benchmark/benchmark.h>
 
@@ -139,12 +142,12 @@ BM_TapeForwardScalar(benchmark::State &state)
     constexpr size_t L = kBatchLanes;
     auto inputs = samplePoints(tape, false);
     expr::EvalState evalState;
-    std::vector<double> x(tape.numVars()), out;
+    std::vector<double> x(tape.numVars());
     size_t lane = 0;
     for (auto _ : state) {
         for (size_t v = 0; v < tape.numVars(); ++v)
             x[v] = inputs[v * L + lane];
-        tape.forward(x, out, evalState);
+        std::vector<double> out = tape.eval(x, evalState);
         benchmark::DoNotOptimize(out.data());
         lane = (lane + 1) % L;
     }
@@ -165,27 +168,6 @@ BM_TapeForwardBatch(benchmark::State &state)
         benchmark::DoNotOptimize(outputs.data());
     }
     reportTapeCounters(state, tape, static_cast<double>(L));
-}
-
-void
-BM_TapeForwardBackwardScalar(benchmark::State &state)
-{
-    const auto &tape = objectiveTape();
-    constexpr size_t L = kBatchLanes;
-    auto inputs = samplePoints(tape, true);
-    expr::EvalState evalState;
-    std::vector<double> x(tape.numVars()), out;
-    std::vector<double> seeds(tape.numOutputs(), 1.0), grad;
-    size_t lane = 0;
-    for (auto _ : state) {
-        for (size_t v = 0; v < tape.numVars(); ++v)
-            x[v] = inputs[v * L + lane];
-        tape.forward(x, out, evalState);
-        tape.backward(seeds, grad, evalState);
-        benchmark::DoNotOptimize(grad.data());
-        lane = (lane + 1) % L;
-    }
-    reportTapeCounters(state, tape, 1.0);
 }
 
 void
@@ -230,27 +212,6 @@ BM_MlpForwardBatch(benchmark::State &state)
     state.counters["points_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
             static_cast<double>(L),
-        benchmark::Counter::kIsRate);
-}
-
-void
-BM_MlpInputGradScalar(benchmark::State &state)
-{
-    Rng rng(7);
-    costmodel::MlpConfig config;
-    costmodel::Mlp mlp(config, rng);
-    costmodel::MlpScratch scratch;
-    std::vector<double> x(82);
-    for (double &v : x)
-        v = rng.uniform(-2.0, 2.0);
-    std::vector<double> dx;
-    for (auto _ : state) {
-        double y = mlp.forwardInputGrad(x, dx, scratch);
-        benchmark::DoNotOptimize(y);
-        benchmark::DoNotOptimize(dx.data());
-    }
-    state.counters["points_per_sec"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
 
@@ -320,8 +281,8 @@ BM_FinetuneAnsor(benchmark::State &state)
 /**
  * A quickly fitted cost model for the end-to-end step benchmarks.
  * The weights' values don't matter for throughput; what matters is
- * that the scaler is fitted for 82 features so the production
- * predict paths (and FusedGradStep) accept it.
+ * that the scaler is fitted for 82 features so FusedGradStep
+ * accepts it.
  */
 const costmodel::CostModel &
 benchModel()
@@ -348,48 +309,11 @@ benchModel()
  * Adam update. This is the loop body GradientSearch::round runs
  * nSteps times per seed; the plain series exclude rounding-to-valid,
  * and the fused_round series add it, so they time a seed batch's
- * whole per-step work. Counter steps_per_sec is per-seed steps
- * (batched variants advance one seed per live lane per iteration).
- * Iterates drift under repeated stepping, so lanes reset to the
- * sampled points every 128 steps to keep the workload in the numeric
- * range the real search sees.
+ * whole per-step work. Counter steps_per_sec is per-seed steps (one
+ * seed per live lane per iteration). Iterates drift under repeated
+ * stepping, so lanes reset to the sampled points every 128 steps to
+ * keep the workload in the numeric range the real search sees.
  */
-void
-BM_GradSearchStepScalar(benchmark::State &state)
-{
-    const auto &tape = objectiveTape();
-    const auto &model = benchModel();
-    constexpr size_t L = kBatchLanes;
-    const size_t numVars = tape.numVars();
-    const size_t numFeatures = tape.numOutputs();
-    const auto init = samplePoints(tape, true);
-    expr::EvalState evalState;
-    std::vector<double> y(numVars);
-    optim::Adam adam(numVars);
-    std::vector<double> outputs, outputGrads, inputGrads, modelGrad;
-    std::vector<double> modelInputs(numFeatures);
-    size_t iter = 0;
-    for (auto _ : state) {
-        if ((iter++ & 127) == 0)
-            for (size_t v = 0; v < numVars; ++v)
-                y[v] = init[v * L];
-        tape.forward(y, outputs, evalState);
-        for (size_t k = 0; k < numFeatures; ++k)
-            modelInputs[k] = outputs[k];
-        const double score = model.predictTransformedWithGrad(
-            modelInputs, modelGrad);
-        benchmark::DoNotOptimize(score);
-        outputGrads.assign(outputs.size(), 0.0);
-        for (size_t k = 0; k < numFeatures; ++k)
-            outputGrads[k] = -modelGrad[k];
-        tape.backward(outputGrads, inputGrads, evalState);
-        adam.step(y, inputGrads);
-    }
-    state.counters["steps_per_sec"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-
 void
 gradSearchStepBatchImpl(benchmark::State &state, size_t width,
                         bool round)
@@ -528,20 +452,14 @@ main(int argc, char **argv)
 
     registerScalarEngine("tape_forward/scalar", BM_TapeForwardScalar);
     registerWidthVariants("tape_forward/batch", BM_TapeForwardBatch);
-    registerScalarEngine("tape_fwd_bwd/scalar",
-                         BM_TapeForwardBackwardScalar);
     registerWidthVariants("tape_fwd_bwd/batch",
                           BM_TapeForwardBackwardBatch);
     registerWidthVariants("mlp_forward/batch", BM_MlpForwardBatch);
-    registerScalarEngine("mlp_input_grad/scalar",
-                         BM_MlpInputGradScalar);
     registerWidthVariants("mlp_input_grad/batch",
                           BM_MlpInputGradBatch);
     registerWidthVariants("adam_step", BM_AdamStep);
     registerWidthVariants("finetune/80", BM_FinetuneFelix);
     registerWidthVariants("finetune/128", BM_FinetuneAnsor);
-    registerScalarEngine("grad_search_step/scalar",
-                         BM_GradSearchStepScalar);
     // Full width, then the 8 and 3 live lanes a seed batch holds in
     // production (arguments: live lanes, round to valid).
     using State = benchmark::State;

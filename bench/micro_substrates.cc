@@ -1,11 +1,12 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the substrates on Felix's hot
- * paths: expression-tape forward/backward evaluation, feature
- * extraction + rewriting, sketch generation, schedule sampling /
- * rounding, MLP inference and input gradients, and the GPU latency
- * model. These bound the real (wall-clock) cost behind the virtual
- * tuning clock (see DESIGN.md).
+ * paths: scalar expression-tape evaluation, feature extraction +
+ * rewriting, sketch generation, schedule sampling / rounding, the
+ * GPU latency model and one gradient-search round. These bound the
+ * real (wall-clock) cost behind the virtual tuning clock (see
+ * DESIGN.md); bench_tape times the batched tape and MLP kernels the
+ * descent runs.
  */
 #include <benchmark/benchmark.h>
 
@@ -85,34 +86,13 @@ BM_TapeForward(benchmark::State &state)
     expr::CompiledExprs tape(features::extractFeatures(sched.program),
                              names);
     std::vector<double> x(names.size(), 4.0);
-    std::vector<double> out;
+    expr::EvalState evalState;
     for (auto _ : state) {
-        tape.forward(x, out);
+        auto out = tape.eval(x, evalState);
         benchmark::DoNotOptimize(out);
     }
 }
 BENCHMARK(BM_TapeForward);
-
-void
-BM_TapeForwardBackward(benchmark::State &state)
-{
-    const auto &sched = denseSketch();
-    auto names = varNames(sched);
-    expr::CompiledExprs tape(
-        optim::objectiveOutputs(features::extractFeatures(sched.program),
-                                sched.constraints, names,
-                                optim::GradSearchOptions{}),
-        names);
-    std::vector<double> x(names.size(), 1.0);
-    std::vector<double> out, seed, grads;
-    for (auto _ : state) {
-        tape.forward(x, out);
-        seed.assign(out.size(), 1.0);
-        tape.backward(seed, grads);
-        benchmark::DoNotOptimize(grads);
-    }
-}
-BENCHMARK(BM_TapeForwardBackward);
 
 void
 BM_SampleValid(benchmark::State &state)
@@ -141,30 +121,6 @@ BM_RoundToValid(benchmark::State &state)
 BENCHMARK(BM_RoundToValid);
 
 void
-BM_MlpForward(benchmark::State &state)
-{
-    Rng rng(7);
-    costmodel::Mlp mlp({}, rng);
-    std::vector<double> x(features::kNumFeatures, 0.3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mlp.forward(x));
-}
-BENCHMARK(BM_MlpForward);
-
-void
-BM_MlpInputGrad(benchmark::State &state)
-{
-    Rng rng(7);
-    costmodel::Mlp mlp({}, rng);
-    std::vector<double> x(features::kNumFeatures, 0.3);
-    std::vector<double> grad;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mlp.forwardInputGrad(x, grad));
-    }
-}
-BENCHMARK(BM_MlpInputGrad);
-
-void
 BM_GpuLatencyModel(benchmark::State &state)
 {
     const auto &sched = denseSketch();
@@ -172,7 +128,8 @@ BM_GpuLatencyModel(benchmark::State &state)
     expr::CompiledExprs tape(features::extractFeatures(sched.program),
                              names);
     std::vector<double> x(names.size(), 4.0);
-    auto f = tape.eval(x);
+    expr::EvalState evalState;
+    auto f = tape.eval(x, evalState);
     const auto &device = sim::deviceConfig(sim::DeviceKind::A5000);
     for (auto _ : state)
         benchmark::DoNotOptimize(sim::kernelLatency(f, device));

@@ -67,10 +67,11 @@ main(int argc, char **argv)
         expr::CompiledExprs tape(
             features::extractFeatures(sched.program), names);
         const sketch::ConstraintChecker checker(sched);
+        expr::EvalState state;
         for (int i = 0; i < 32; ++i) {
             costmodel::Sample sample;
-            sample.rawFeatures =
-                tape.eval(sketch::sampleValid(sched, rng, checker));
+            sample.rawFeatures = tape.eval(
+                sketch::sampleValid(sched, rng, checker), state);
             sample.latencySec =
                 sim::measureKernel(sample.rawFeatures, device, i);
             fresh.push_back(std::move(sample));

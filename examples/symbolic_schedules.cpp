@@ -17,6 +17,7 @@
 #include "rewrite/smoothing.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
+#include "support/batch.h"
 #include "tir/ops.h"
 
 using namespace felix;
@@ -71,16 +72,25 @@ main()
     // x = e^y substitution -> smooth max(., 0).
     std::vector<expr::Expr> pipelined = optim::objectiveOutputs(
         {features[intAdd]}, {}, names, optim::GradSearchOptions{});
+    // One point through the batched entry points the descent runs,
+    // as a width-1 batch: each variable and gradient is a row of
+    // kBatchLanes lanes, and the point is lane 0.
     expr::CompiledExprs tape(pipelined, names);
+    constexpr size_t L = kBatchLanes;
     std::vector<double> y(names.size(), std::log(4.0));
-    std::vector<double> out, grads;
-    tape.forward(y, out);
-    tape.backward({1.0}, grads);
+    std::vector<double> rows(y.size() * L, 0.0), grads(y.size() * L);
+    for (size_t i = 0; i < y.size(); ++i)
+        rows[i * L] = y[i];
+    expr::BatchEvalState state;
+    tape.forwardBatchKeep(rows.data(), 1, state);
     std::printf("pipeline value at all-tiles=4 (log space): %.3f\n",
-                out[0]);
+                tape.outputRowPtr(0, state)[0]);
+    tape.beginBackwardBatch(state);
+    tape.outputAdjRowPtr(0, state)[0] = 1.0;
+    tape.finishBackwardBatch(grads.data(), state);
     std::printf("gradient w.r.t. each log-variable:");
     for (size_t i = 0; i < names.size(); ++i)
-        std::printf(" %s=%.4f", names[i].c_str(), grads[i]);
+        std::printf(" %s=%.4f", names[i].c_str(), grads[i * L]);
     std::printf("\n\n");
 
     // Constraints and validity: sample, round, validate, all against

@@ -1,5 +1,6 @@
 #include "core/felix.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "obs/trace.h"
@@ -61,14 +62,23 @@ CompiledModule::load(const std::string &path)
     is >> word1 >> word2;
     if (word1 != "felix-module" || word2 != "v1")
         return std::nullopt;
+    auto validLatency = [](double sec) {
+        return std::isfinite(sec) && sec > 0.0;
+    };
     CompiledModule module;
     size_t numConfigs = 0;
     is >> module.latencySec_ >> numConfigs;
+    if (!is || !validLatency(module.latencySec_))
+        return std::nullopt;
     for (size_t i = 0; i < numConfigs && is; ++i) {
         TaskConfig config;
         size_t numVars = 0;
         is >> config.weight >> config.sketchIndex >>
             config.latencySec >> numVars;
+        // An istream reads "-1" into a size_t as SIZE_MAX.
+        if (!is || numVars > 4096 || config.weight < 1 ||
+            config.sketchIndex < 0 || !validLatency(config.latencySec))
+            return std::nullopt;
         config.scheduleVars.resize(numVars);
         for (double &v : config.scheduleVars)
             is >> v;

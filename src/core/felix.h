@@ -71,6 +71,13 @@ class CompiledModule
     const std::vector<TaskConfig> &configs() const { return configs_; }
 
     void save(const std::string &path) const;
+    /**
+     * Read a save() file. nullopt when it is missing, malformed or
+     * truncated, or when a config has more than 4096 schedule values
+     * (the record loader's bound), a weight below 1 or a negative
+     * sketch index, or a latency (of the module or of a config) is
+     * not finite and positive.
+     */
     static std::optional<CompiledModule> load(const std::string &path);
 
     /**

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
+
+#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -190,29 +193,6 @@ CostModel::finetune(const std::vector<Sample> &samples, int steps,
     return meanLoss;
 }
 
-double
-CostModel::predict(const std::vector<double> &raw_features) const
-{
-    FELIX_CHECK(scaler_.fitted(), "cost model not fitted");
-    return targetMean_ +
-           mlp_.forward(scaler_.apply(transformFeatures(raw_features)));
-}
-
-double
-CostModel::predictTransformedWithGrad(
-    const std::vector<double> &transformed,
-    std::vector<double> &grad) const
-{
-    FELIX_CHECK(scaler_.fitted(), "cost model not fitted");
-    std::vector<double> scaled = scaler_.apply(transformed);
-    double score = mlp_.forwardInputGrad(scaled, grad);
-    // Chain through standardization: d/dz = d/dz' / sigma.
-    const auto &stds = scaler_.stddevs();
-    for (size_t i = 0; i < grad.size(); ++i)
-        grad[i] /= stds[i];
-    return targetMean_ + score;
-}
-
 void
 CostModel::predictBatch(const double *raw, size_t width,
                         double *scores, PredictScratch &scratch) const
@@ -224,9 +204,9 @@ CostModel::predictBatch(const double *raw, size_t width,
     const double *stds = scaler_.stddevs().data();
     std::vector<double> &scaled = scratch.scaled;
     scaled.resize(dim * L);
-    // phi + standardization per lane, elementwise — the identical
-    // scalar expressions predict() evaluates. Padding lanes keep
-    // what the buffer last held; no lane reads another.
+    // phi + standardization per lane, elementwise — per lane the
+    // expressions of Scaler::apply over transformFeatures. Padding
+    // lanes keep what the buffer last held; no lane reads another.
     for (size_t i = 0; i < dim; ++i) {
         const double *in = &raw[i * L];
         double *out = &scaled[i * L];
@@ -245,11 +225,26 @@ CostModel::validate(const std::vector<Sample> &samples) const
     ModelMetrics metrics;
     if (samples.empty())
         return metrics;
+    // Scored kBatchLanes samples at a time, one block per item.
+    constexpr size_t L = kBatchLanes;
+    const size_t dim = scaler_.means().size();
     std::vector<double> preds(samples.size());
     std::vector<double> targets(samples.size());
-    parallelFor("costmodel.validate", samples.size(), [&](size_t i) {
-        preds[i] = predict(samples[i].rawFeatures);
-        targets[i] = targetOf(samples[i].latencySec);
+    const size_t numBlocks = (samples.size() + L - 1) / L;
+    parallelFor("costmodel.validate", numBlocks, [&](size_t block) {
+        const size_t begin = block * L;
+        const size_t width = std::min(L, samples.size() - begin);
+        std::vector<double> raw(dim * L, 0.0);
+        for (size_t l = 0; l < width; ++l) {
+            const Sample &sample = samples[begin + l];
+            FELIX_CHECK(sample.rawFeatures.size() == dim,
+                        "cost model validate: wrong input size");
+            for (size_t i = 0; i < dim; ++i)
+                raw[i * L + l] = sample.rawFeatures[i];
+            targets[begin + l] = targetOf(sample.latencySec);
+        }
+        PredictScratch scratch;
+        predictBatch(raw.data(), width, &preds[begin], scratch);
     });
     for (size_t i = 0; i < preds.size(); ++i) {
         double err = preds[i] - targets[i];
@@ -284,13 +279,22 @@ CostModel::validate(const std::vector<Sample> &samples) const
 void
 CostModel::save(const std::string &path) const
 {
-    std::ofstream os(path);
-    FELIX_CHECK(os.good(), "cannot write cost model to " + path);
-    os << "felix-cost-model v1\n";
-    mlp_.save(os);
-    os << static_cast<size_t>(config_.layerSizes.front()) << "\n";
-    scaler_.save(os);
-    os << targetMean_ << "\n";
+    const std::string tmp =
+        path + ".tmp" + std::to_string(static_cast<long>(::getpid()));
+    {
+        std::ofstream os(tmp);
+        FELIX_CHECK(os.good(), "cannot write cost model to " + tmp);
+        os << "felix-cost-model v1\n";
+        mlp_.save(os);
+        os << static_cast<size_t>(config_.layerSizes.front()) << "\n";
+        scaler_.save(os);
+        os << targetMean_ << "\n";
+        FELIX_CHECK(os.good(), "cannot write cost model to " + tmp);
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    FELIX_CHECK(!ec, "cannot rename cost model to ", path, ": ",
+                ec.message());
 }
 
 namespace {

@@ -69,9 +69,9 @@ struct ModelMetrics
 
 /**
  * The trainable cost model. Create, fit() on a dataset (or load a
- * pretrained file), then score with the predict*() entry points
- * during search and finetune() with fresh measurements after each
- * round.
+ * pretrained file), then score with predictBatch() (or the fused
+ * descent step, costmodel/fused.h) during search and finetune()
+ * with fresh measurements after each round.
  */
 class CostModel
 {
@@ -101,40 +101,32 @@ class CostModel
     double finetune(const std::vector<Sample> &samples, int steps = 16,
                     double lr = 2e-4);
 
-    /** Predicted score from raw features (higher = faster). */
-    double predict(const std::vector<double> &raw_features) const;
-
     /**
-     * Score plus d(score)/d(transformed feature), starting from
-     * already-transformed inputs — the gradient Felix chains into
-     * the symbolic feature tape.
-     */
-    double predictTransformedWithGrad(
-        const std::vector<double> &transformed,
-        std::vector<double> &grad) const;
-
-    /**
-     * Batched predict() over the first @p width (1..kBatchLanes) of
+     * Predicted score of the first @p width (1..kBatchLanes) of
      * kBatchLanes raw feature vectors in SoA rows
      * (raw[i * kBatchLanes + lane] = feature i of point `lane`);
      * scores is one row, written for those lanes. Lanes are
-     * independent and each is bit-identical to the scalar predict()
-     * of that point; lanes >= width are never read.
+     * independent, so a lane's score does not depend on the width or
+     * on the other lanes; lanes >= width are never read.
      */
     void predictBatch(const double *raw, size_t width, double *scores,
                       PredictScratch &scratch) const;
 
     // ----- Fused-step accessors (costmodel/fused.h) --------------
     // FusedGradStep runs the model's pieces (standardization, MLP,
-    // target centering) inline between the two tape sweeps, per lane
-    // the same arithmetic predictTransformedWithGrad() runs on one
-    // point; these expose them.
+    // target centering) inline between the two tape sweeps, so its
+    // score is predictBatch()'s and its gradient is d(score)/d(phi)
+    // of the transformed features; these expose them.
     const Mlp &mlp() const { return mlp_; }
     const Scaler &scaler() const { return scaler_; }
     double targetMean() const { return targetMean_; }
 
     ModelMetrics validate(const std::vector<Sample> &samples) const;
 
+    /** Write the weights, scaler and target mean to @p path. The
+     *  file appears whole or not at all (written beside it, then
+     *  renamed), so a concurrent tryLoad() never reads it half
+     *  written. */
     void save(const std::string &path) const;
     /**
      * Load a save() file. nullopt when the file is missing, and also

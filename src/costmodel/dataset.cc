@@ -220,7 +220,12 @@ pretrainedCostModel(sim::DeviceKind device, const std::string &cache_dir,
     std::error_code ec;
     std::filesystem::create_directories(cache_dir, ec);
     model.save(path);
-    return model;
+    // The file holds the weights, scaler and target mean, not the
+    // Adam moments and step that fit() leaves in `model`.
+    std::optional<CostModel> saved = CostModel::tryLoad(path);
+    FELIX_CHECK(saved.has_value(), "cannot read back cost model ",
+                path);
+    return std::move(*saved);
 }
 
 } // namespace costmodel

@@ -44,7 +44,9 @@ std::vector<Sample> synthesizeDataset(const sim::DeviceConfig &device,
 /**
  * The per-device pretrained cost model, trained once and cached at
  * `<cache_dir>/cost_model_<device>.txt` (the felix.pretrained_cost_model
- * of the paper's programming interface, Fig. 5).
+ * of the paper's programming interface, Fig. 5). A cache miss returns
+ * the model read back from the file it saved, so the session that
+ * pretrains fine-tunes from the same state as every later session.
  */
 CostModel pretrainedCostModel(sim::DeviceKind device,
                               const std::string &cache_dir = "pretrained",

@@ -57,7 +57,7 @@ FusedGradStep::run(const double *inputs, size_t width,
         scores[l] = model_.targetMean() + y[l];
 
     // Seed the tape adjoints directly from the MLP gradient rows:
-    // adjoint += -(grad / sigma), per lane the scalar chain's
+    // adjoint += -(grad / sigma), per lane the per-point chain's
     // grad /= sigma, seed = -grad, adjoint += seed (the adjoint rows
     // were just zeroed, so += is the identical accumulation).
     objective_.beginBackwardBatch(tape);

@@ -15,14 +15,16 @@
  *   tape finishBackwardBatch     (input grads out)
  *
  * Bit-exactness: per lane, every arithmetic operation runs in the
- * same order on the same values as the scalar chain of one point —
- * CompiledExprs::forward, CostModel::predictTransformedWithGrad,
- * seeds -g and lambda * 2 * v for every violated constraint v > 0,
- * CompiledExprs::backward. The only work left out is the scalar
- * chain's zero seeds for satisfied constraints, whose "+= 0.0" is a
- * bitwise no-op on the freshly zeroed adjoint rows.
- * tests/test_simd.cc asserts fused == scalar chain per lane, bit for
- * bit, at every width on every backend.
+ * same order on the same values as the per-point chain of one point
+ * — the tape's scalar forward, the cost model's score and input
+ * gradient (standardize, the per-sample MLP pass, divide by each
+ * stddev), seeds -g and lambda * 2 * v for every violated constraint
+ * v > 0, the tape's scalar reverse sweep. The only work left out is
+ * the chain's zero seeds for satisfied constraints, whose "+= 0.0"
+ * is a bitwise no-op on the freshly zeroed adjoint rows. The chain
+ * exists only as a test reference (tests/support/tape_reference.h);
+ * tests/test_simd.cc asserts fused == chain per lane, bit for bit,
+ * at every width on every backend.
  */
 #ifndef FELIX_COSTMODEL_FUSED_H_
 #define FELIX_COSTMODEL_FUSED_H_

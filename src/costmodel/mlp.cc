@@ -76,104 +76,6 @@ Mlp::parameterCount() const
     return count;
 }
 
-double
-Mlp::forward(const std::vector<double> &x, MlpScratch &scratch) const
-{
-    FELIX_CHECK(static_cast<int>(x.size()) == inputSize(),
-                "MLP forward: wrong input size");
-    std::vector<double> &cur = scratch.cur;
-    std::vector<double> &next = scratch.next;
-    cur.assign(x.begin(), x.end());
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        const Layer &layer = layers_[li];
-        next.assign(layer.out, 0.0);
-        for (int o = 0; o < layer.out; ++o) {
-            double acc = layer.bias[o];
-            const double *row =
-                layer.weight.data() +
-                static_cast<size_t>(o) * layer.in;
-            for (int i = 0; i < layer.in; ++i)
-                acc += row[i] * cur[i];
-            // ReLU on hidden layers, identity on the head.
-            if (li + 1 < layers_.size() && acc < 0.0)
-                acc = 0.0;
-            next[o] = acc;
-        }
-        cur.swap(next);
-    }
-    return cur[0];
-}
-
-double
-Mlp::forwardInputGrad(const std::vector<double> &x,
-                      std::vector<double> &dx,
-                      MlpScratch &scratch) const
-{
-    FELIX_CHECK(static_cast<int>(x.size()) == inputSize(),
-                "MLP forwardInputGrad: wrong input size");
-    // Forward, storing activations per layer.
-    std::vector<std::vector<double>> &acts = scratch.acts;
-    acts.resize(layers_.size() + 1);
-    acts[0].assign(x.begin(), x.end());
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        const Layer &layer = layers_[li];
-        std::vector<double> &out = acts[li + 1];
-        out.assign(layer.out, 0.0);
-        const std::vector<double> &cur = acts[li];
-        for (int o = 0; o < layer.out; ++o) {
-            double acc = layer.bias[o];
-            const double *row =
-                layer.weight.data() +
-                static_cast<size_t>(o) * layer.in;
-            for (int i = 0; i < layer.in; ++i)
-                acc += row[i] * cur[i];
-            if (li + 1 < layers_.size() && acc < 0.0)
-                acc = 0.0;
-            out[o] = acc;
-        }
-    }
-    const double result = acts.back()[0];
-
-    // Backward: adjoint of the scalar output wrt activations.
-    std::vector<double> &adj = scratch.adj;
-    std::vector<double> &prev = scratch.prev;
-    adj.assign(1, 1.0);
-    for (size_t li = layers_.size(); li-- > 0;) {
-        const Layer &layer = layers_[li];
-        const std::vector<double> &out = acts[li + 1];
-        prev.assign(layer.in, 0.0);
-        for (int o = 0; o < layer.out; ++o) {
-            double a = adj[o];
-            // ReLU gate (hidden layers only).
-            if (li + 1 < layers_.size() && out[o] <= 0.0)
-                continue;
-            const double *row =
-                layer.weight.data() +
-                static_cast<size_t>(o) * layer.in;
-            for (int i = 0; i < layer.in; ++i)
-                prev[i] += a * row[i];
-        }
-        adj.swap(prev);
-    }
-    dx.assign(adj.begin(), adj.end());
-    return result;
-}
-
-double
-Mlp::forward(const std::vector<double> &x) const
-{
-    MlpScratch scratch;
-    return forward(x, scratch);
-}
-
-double
-Mlp::forwardInputGrad(const std::vector<double> &x,
-                      std::vector<double> &dx) const
-{
-    MlpScratch scratch;
-    return forwardInputGrad(x, dx, scratch);
-}
-
 void
 Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
                        const AlignedRows &cur, AlignedRows &out,
@@ -181,9 +83,9 @@ Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
 {
     // The blocked kernel (four neurons share each input-row load;
     // per lane the accumulation order stays bias first, then inputs
-    // 0..in-1, so per lane the result is bit-identical to forward())
-    // lives in src/simd/kernels_impl.h, compiled per SIMD backend
-    // and dispatched at runtime.
+    // 0..in-1, so per lane the result is bit-identical to the
+    // per-sample pass) lives in src/simd/kernels_impl.h, compiled
+    // per SIMD backend and dispatched at runtime.
     out.resize(static_cast<size_t>(layer.out) * kBatchLanes);
     simd::activeKernels().mlpForwardLayer(
         layer.weight.data(), layer.bias.data(), layer.in, layer.out,
@@ -197,8 +99,9 @@ Mlp::inputGradLayerBatch(const Layer &layer, const AlignedRows &madj,
     // The input gradient of a layer is a layer itself: prev = W^T
     // madj, the forward kernel over the transposed weights with a
     // zero bias. Per lane it adds w[o][i] * madj[o] in ascending o
-    // from +0.0 — the scalar backward's order, and multiplication
-    // commutes. The scalar path skips a neuron whose gate is closed;
+    // from +0.0 — the per-sample backward's order, and
+    // multiplication commutes. The per-sample pass skips a neuron
+    // whose gate is closed;
     // here its masked adjoint is an exact 0.0, so it adds +/-0.0
     // (finite weights) to an accumulator that can never hold -0.0
     // (IEEE addition yields -0.0 only for (-0)+(-0), and the

@@ -8,6 +8,13 @@
  * quantity Felix back-propagates into the differentiable feature
  * formulas during schedule search.
  *
+ * Inference, the input gradient and training all run on the batched
+ * SIMD layer kernels (src/simd/), one point or sample per lane. Each
+ * lane reproduces the per-sample forward and backward pass bit for
+ * bit; that pass lives on only as a test reference
+ * (tests/support/mlp_reference.h), which the parity tests compare
+ * every backend against.
+ *
  * The default layer sizes are smaller than TenSet's ~250K-parameter
  * network because training here runs on one CPU core; DESIGN.md
  * documents the substitution.
@@ -27,24 +34,10 @@ namespace felix {
 namespace costmodel {
 
 /**
- * Reusable buffers for the scalar forward/forwardInputGrad paths.
- * Hot loops (gradient descent, candidate ranking) keep one of these
- * per worker so steady-state inference performs no allocation; the
- * buffers grow to the network's working-set size on first use and
- * are reused verbatim afterwards.
- */
-struct MlpScratch
-{
-    std::vector<double> cur, next;          ///< forward activations
-    std::vector<std::vector<double>> acts;  ///< per-layer (input grad)
-    std::vector<double> adj, prev;          ///< backward adjoints
-};
-
-/**
- * Scratch for the batched entry points: the same buffers with one
- * row of kBatchLanes doubles per neuron, lane-major within the row.
- * Rows are cache-line-aligned so every SIMD backend's loads and
- * stores stay within one line (support/aligned.h).
+ * Scratch for the batched entry points: one row of kBatchLanes
+ * doubles per neuron, lane-major within the row. Rows are
+ * cache-line-aligned so every SIMD backend's loads and stores stay
+ * within one line (support/aligned.h).
  */
 struct MlpBatchScratch
 {
@@ -65,8 +58,9 @@ struct MlpConfig
 /**
  * Fully connected ReLU network with a linear head.
  *
- * forward()/forwardInputGrad() are const and safe to call from many
- * threads at once. trainBatch() mutates parameters (not reentrant)
+ * forwardBatch() and forwardInputGradStaged() are const and safe to
+ * call from many threads at once, one scratch per thread.
+ * trainBatch() mutates parameters (not reentrant)
  * but internally runs on the batched layer kernels in two parallel
  * phases over the global pool — fixed 16-sample chunks, then blocks
  * of output rows reduced in chunk order — so training results are
@@ -80,31 +74,13 @@ class Mlp
     int inputSize() const { return config_.layerSizes.front(); }
     size_t parameterCount() const;
 
-    /** Forward pass; input size must equal inputSize(). */
-    double forward(const std::vector<double> &x,
-                   MlpScratch &scratch) const;
-
-    /**
-     * Forward pass plus the gradient of the output with respect to
-     * the input vector (the path Felix's gradient descent uses).
-     */
-    double forwardInputGrad(const std::vector<double> &x,
-                            std::vector<double> &dx,
-                            MlpScratch &scratch) const;
-
-    // Allocating convenience overloads (thin wrappers over the
-    // scratch versions; construct a throwaway scratch per call).
-    double forward(const std::vector<double> &x) const;
-    double forwardInputGrad(const std::vector<double> &x,
-                            std::vector<double> &dx) const;
-
     /**
      * Evaluate @p width points (1..kBatchLanes) in lockstep. All
      * buffers are SoA rows of kBatchLanes doubles:
      * x[i * kBatchLanes + lane] is feature i of point `lane`, y is
      * one row of scores. Lanes are fully independent (the ReLU gates
      * are per lane), so each of the first @p width lanes scores
-     * bit-identically to a scalar forward() of that point, whatever
+     * bit-identically to the per-sample pass on that point, whatever
      * the other lanes hold. The kernels sweep only the vector chunks
      * that hold those lanes; y is written for them alone.
      */
@@ -129,7 +105,8 @@ class Mlp
      *  lanes (1..kBatchLanes), reading inputs from stageInputRows()
      *  and leaving d(score)/d(input) rows in @p scratch (read them
      *  via inputGradRows()). y is one row of scores. Per lane
-     *  bit-identical to forwardInputGrad(). */
+     *  bit-identical to the per-sample backward pass seeded with 1
+     *  on the score. */
     void forwardInputGradStaged(size_t width, double *y,
                                 MlpBatchScratch &scratch) const;
 

@@ -61,15 +61,12 @@ CompiledExprs::bind(EvalState &state) const
     state.values.assign(program_.numSlots(), 0.0);
     std::copy(program_.constants.begin(), program_.constants.end(),
               state.values.begin());
-    state.adjoints.clear();
-    state.forwardDone = false;
     state.boundTape = tapeId_;
 }
 
-void
-CompiledExprs::forward(const std::vector<double> &inputs,
-                       std::vector<double> &outputs,
-                       EvalState &state) const
+std::vector<double>
+CompiledExprs::eval(const std::vector<double> &inputs,
+                    EvalState &state) const
 {
     FELIX_CHECK(inputs.size() == varNames_.size(),
                 "expected ", varNames_.size(), " inputs, got ",
@@ -79,40 +76,10 @@ CompiledExprs::forward(const std::vector<double> &inputs,
     std::copy(inputs.begin(), inputs.end(),
               values.begin() + program_.firstVarSlot());
     programForward(program_, values.data());
-    outputs.resize(program_.outputSlots.size());
+    std::vector<double> outputs(program_.outputSlots.size());
     for (size_t k = 0; k < program_.outputSlots.size(); ++k)
         outputs[k] = values[program_.outputSlots[k]];
-    state.forwardDone = true;
-}
-
-void
-CompiledExprs::backward(const std::vector<double> &output_grads,
-                        std::vector<double> &input_grads,
-                        EvalState &state) const
-{
-    FELIX_CHECK(!program_.forwardOnly,
-                "backward() on a tape compiled forward-only");
-    FELIX_CHECK(state.forwardDone && state.boundTape == tapeId_,
-                "backward() before forward()");
-    FELIX_CHECK(output_grads.size() == program_.outputSlots.size(),
-                "expected ", program_.outputSlots.size(),
-                " output grads");
-
-    const std::vector<double> &values = state.values;
-    std::vector<double> &adjoints = state.adjoints;
-    adjoints.assign(program_.numSlots(), 0.0);
-    for (size_t k = 0; k < program_.outputSlots.size(); ++k)
-        adjoints[program_.outputSlots[k]] += output_grads[k];
-
-    programBackward(program_, values.data(), adjoints.data());
-    // Variable adjoints accumulate via += from +0.0 and can never
-    // become -0.0, so a plain copy reproduces the historical
-    // "+= only when nonzero" extraction bit for bit.
-    input_grads.resize(varNames_.size());
-    std::copy(adjoints.begin() + program_.firstVarSlot(),
-              adjoints.begin() + program_.firstVarSlot() +
-                  varNames_.size(),
-              input_grads.begin());
+    return outputs;
 }
 
 void
@@ -232,35 +199,6 @@ CompiledExprs::finishBackwardBatch(double *input_grads,
         for (size_t l = 0; l < width; ++l)
             g[l] = row[l];
     }
-}
-
-std::vector<double>
-CompiledExprs::eval(const std::vector<double> &inputs,
-                    EvalState &state) const
-{
-    std::vector<double> outputs;
-    forward(inputs, outputs, state);
-    return outputs;
-}
-
-void
-CompiledExprs::forward(const std::vector<double> &inputs,
-                       std::vector<double> &outputs)
-{
-    forward(inputs, outputs, state_);
-}
-
-void
-CompiledExprs::backward(const std::vector<double> &output_grads,
-                        std::vector<double> &input_grads)
-{
-    backward(output_grads, input_grads, state_);
-}
-
-std::vector<double>
-CompiledExprs::eval(const std::vector<double> &inputs)
-{
-    return eval(inputs, state_);
 }
 
 } // namespace expr

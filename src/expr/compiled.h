@@ -9,13 +9,18 @@
  * tape optimizer (expr/tape.h) over it at construction, so that
  *  - forward evaluation is a tight loop over flat arrays whose
  *    per-eval instruction stream contains only real operations
- *    (constant and variable leaves live in dedicated slots),
+ *    (constant and variable leaves live in dedicated slots): one
+ *    point at a time on the scalar sweep (constraint checks and
+ *    concrete features), or up to kBatchLanes points in lockstep
+ *    through the batched structure-of-arrays entry points,
+ *    bit-identically per point;
  *  - reverse-mode differentiation replays the tape backwards,
  *    accumulating adjoints (the same trick PyTorch's autograd tape
- *    uses, which the paper relies on for back-propagation), and
- *  - up to kBatchLanes points can be evaluated in lockstep through
- *    the batched structure-of-arrays entry points, bit-identically
- *    to the scalar path per point (docs/tape_engine.md).
+ *    uses, which the paper relies on for back-propagation). It runs
+ *    only batched, in the SIMD row kernels; a single point is a
+ *    width-1 batch. The per-point reverse sweep it reproduces bit
+ *    for bit per lane lives on as a test reference
+ *    (tests/support/tape_reference.h; docs/tape_engine.md).
  */
 #ifndef FELIX_EXPR_COMPILED_H_
 #define FELIX_EXPR_COMPILED_H_
@@ -33,10 +38,11 @@ namespace felix {
 namespace expr {
 
 /**
- * Per-thread scratch buffers for evaluating one CompiledExprs tape:
- * forward values and adjoints, sized lazily on first use. A compiled
- * tape is immutable after construction, so any number of workers can
- * share one CompiledExprs as long as each brings its own EvalState.
+ * Per-thread scratch buffer for the scalar forward of one
+ * CompiledExprs tape: one value per slot, sized lazily on first use.
+ * A compiled tape is immutable after construction, so any number of
+ * workers can share one CompiledExprs as long as each brings its own
+ * EvalState.
  *
  * A state binds to the tape it was last used with (constant slots
  * are prefilled at bind time) and rebinds transparently when handed
@@ -46,15 +52,13 @@ namespace expr {
 struct EvalState
 {
     std::vector<double> values;    ///< forward value per tape slot
-    std::vector<double> adjoints;  ///< adjoint per tape slot
-    bool forwardDone = false;
     uint64_t boundTape = 0;        ///< id of the tape values are for
 };
 
 /**
- * Scratch for the batched SoA entry points: the same buffers as
- * EvalState but with one row of kBatchLanes doubles per tape slot,
- * lane-major within the row. Allocate once per worker and reuse.
+ * Scratch for the batched SoA entry points: values and adjoints,
+ * one row of kBatchLanes doubles per tape slot, lane-major within
+ * the row. Allocate once per worker and reuse.
  * Rows are cache-line-aligned (support/aligned.h) so the SIMD
  * backends' loads and stores never split a line — the tape is one
  * long dependent chain of store-then-reload rows, and split-line
@@ -72,10 +76,8 @@ struct BatchEvalState
 /**
  * A set of expressions compiled to a shared evaluation tape.
  *
- * The tape itself is immutable after construction. The const
- * overloads taking an EvalState/BatchEvalState are thread-safe (one
- * state per thread); the stateless convenience overloads use a
- * member state and keep the historical single-threaded interface.
+ * Immutable after construction, and every entry point is const and
+ * thread-safe: each thread brings its own EvalState/BatchEvalState.
  */
 class CompiledExprs
 {
@@ -86,7 +88,7 @@ class CompiledExprs
      * @param roots Output expressions (e.g. 82 features + penalties).
      * @param var_order Variable slot order; when empty, the distinct
      *        variables are collected and sorted by name.
-     * @param forward_only Promise that backward() will never run on
+     * @param forward_only Promise that no reverse sweep will run on
      *        this tape; unlocks the identity-forwarding optimizer
      *        pass (which is forward-bit-exact but not
      *        backward-bit-exact, see expr/tape.h).
@@ -95,7 +97,7 @@ class CompiledExprs
                            std::vector<std::string> var_order = {},
                            bool forward_only = false);
 
-    /** Variable slot order expected by forward(). */
+    /** Variable slot order expected by eval() and the batches. */
     const std::vector<std::string> &varNames() const { return varNames_; }
 
     size_t numVars() const { return varNames_.size(); }
@@ -114,31 +116,15 @@ class CompiledExprs
     const TapeProgram &program() const { return program_; }
 
     /**
-     * Evaluate all roots at the given variable values.
+     * Evaluate all roots at the given variable values, one point on
+     * the scalar sweep (programForward).
      *
      * @param inputs One value per variable, in varNames() order.
-     * @param outputs Receives numOutputs() values.
-     * @param state Per-thread scratch buffers.
+     * @param state Per-thread scratch buffer.
+     * @return numOutputs() values.
      */
-    void forward(const std::vector<double> &inputs,
-                 std::vector<double> &outputs, EvalState &state) const;
-
-    /**
-     * Reverse-mode sweep using the values of the last forward() on
-     * the same @p state.
-     *
-     * Computes d(sum_k output_grads[k] * output_k)/d(input_j).
-     * Non-differentiable ops (min/max/select/abs) use the standard
-     * one-sided subgradient convention; comparisons and floor have
-     * zero derivative.
-     *
-     * @param output_grads Adjoint seed per output.
-     * @param input_grads Receives numVars() gradients.
-     * @param state The state forward() ran on.
-     */
-    void backward(const std::vector<double> &output_grads,
-                  std::vector<double> &input_grads,
-                  EvalState &state) const;
+    std::vector<double> eval(const std::vector<double> &inputs,
+                             EvalState &state) const;
 
     /**
      * Evaluate @p width points (1..kBatchLanes) in lockstep.
@@ -149,8 +135,8 @@ class CompiledExprs
      * padding: the sweep covers only the vector chunks that hold
      * active lanes, padding inside those chunks runs on copies of
      * lane 0, and the padding lanes of @p outputs are left as they
-     * were. Each active lane's outputs are bit-identical to a scalar
-     * forward() of the same point.
+     * were. Each active lane's outputs are bit-identical to eval() of
+     * the same point.
      *
      * @param inputs numVars() rows.
      * @param width Active lane count, 1..kBatchLanes.
@@ -160,11 +146,15 @@ class CompiledExprs
     void forwardBatch(const double *inputs, size_t width,
                       double *outputs, BatchEvalState &state) const;
 
-    // ----- Reverse sweep (costmodel/fused.h) ---------------------
+    // ----- Reverse sweep -----------------------------------------
     //
-    // The fused surrogate step reads tape outputs and seeds adjoints
-    // directly inside the SoA slot buffers, keeping the 82-feature
-    // rows resident in L1 between the tape and the MLP:
+    // Computes d(sum_k seed_k * output_k)/d(input_j) per lane.
+    // Non-differentiable ops (min/max/select/abs) use the standard
+    // one-sided subgradient convention; comparisons and floor have
+    // zero derivative. The fused surrogate step (costmodel/fused.h)
+    // reads tape outputs and seeds adjoints directly inside the SoA
+    // slot buffers, keeping the 82-feature rows resident in L1
+    // between the tape and the MLP:
     //
     //   forwardBatchKeep(...);             // sweep, no output copy
     //   ... read outputRowPtr(k, state) rows in place ...
@@ -195,21 +185,10 @@ class CompiledExprs
 
     /** Reverse sweep over the seeded adjoints; writes numVars() rows
      *  of input gradients (active lanes only). Each active lane's
-     *  gradients are bit-identical to a scalar backward() of the
-     *  same point and seeds. */
+     *  gradients are bit-identical to the per-point reverse sweep of
+     *  the same point and seeds. */
     void finishBackwardBatch(double *input_grads,
                              BatchEvalState &state) const;
-
-    /** Convenience: forward then return a copy of the outputs. */
-    std::vector<double> eval(const std::vector<double> &inputs,
-                             EvalState &state) const;
-
-    // Single-threaded convenience overloads on a member state.
-    void forward(const std::vector<double> &inputs,
-                 std::vector<double> &outputs);
-    void backward(const std::vector<double> &output_grads,
-                  std::vector<double> &input_grads);
-    std::vector<double> eval(const std::vector<double> &inputs);
 
   private:
     void bind(EvalState &state) const;
@@ -219,7 +198,6 @@ class CompiledExprs
     TapeProgram program_;
     TapeOptStats optStats_;
     uint64_t tapeId_;   ///< process-unique, guards state rebinding
-    EvalState state_;   ///< backs the stateless overloads only
 };
 
 } // namespace expr

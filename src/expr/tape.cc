@@ -361,25 +361,5 @@ programForward(const TapeProgram &program, double *values)
     }
 }
 
-void
-programBackward(const TapeProgram &program, const double *values,
-                double *adjoints)
-{
-    double dummy = 0.0;
-    for (size_t i = program.instrs.size(); i-- > 0;) {
-        const TapeInstr &instr = program.instrs[i];
-        size_t slot = program.firstOpSlot() + i;
-        double adj = adjoints[slot];
-        if (adj == 0.0)
-            continue;
-        double a0 = values[instr.a0];
-        double a1 = instr.a1 >= 0 ? values[instr.a1] : 0.0;
-        opk::backpropOp(instr.op, adj, values[slot], a0, a1,
-                        &adjoints[instr.a0],
-                        instr.a1 >= 0 ? &adjoints[instr.a1] : &dummy,
-                        instr.a2 >= 0 ? &adjoints[instr.a2] : &dummy);
-    }
-}
-
 } // namespace expr
 } // namespace felix

@@ -131,22 +131,11 @@ TapeProgram optimizeTape(const RawTape &raw, bool forward_only,
 /**
  * The scalar interpreter's forward sweep: @p values holds numSlots()
  * entries whose constant and variable slots are filled; every
- * instruction slot is written, in order. CompiledExprs::forward runs
+ * instruction slot is written, in order. CompiledExprs::eval runs
  * it per point, and the SIMD row kernels (src/simd/) are
  * bit-identical to it per lane.
  */
 void programForward(const TapeProgram &program, double *values);
-
-/**
- * The matching reverse sweep over the values of programForward():
- * @p adjoints holds numSlots() entries, zero except the seeds on the
- * output slots. Every operand's adjoint accumulates, so the variable
- * slots end up holding d(seeded outputs)/d(input). Instructions
- * whose adjoint is zero are skipped. Not valid on a forward-only
- * program.
- */
-void programBackward(const TapeProgram &program, const double *values,
-                     double *adjoints);
 
 } // namespace expr
 } // namespace felix

@@ -550,7 +550,8 @@ concreteFeatures(const Program &program,
 {
     std::vector<Expr> formulas = extractFeatures(program);
     expr::CompiledExprs compiled(formulas, var_names);
-    return compiled.eval(var_values);
+    expr::EvalState state;
+    return compiled.eval(var_values, state);
 }
 
 expr::Expr

@@ -30,13 +30,5 @@ Adam::step(std::vector<double> &x, const std::vector<double> &grad)
                                    config_.lr, config_.eps);
 }
 
-void
-Adam::reset()
-{
-    std::fill(m_.begin(), m_.end(), 0.0);
-    std::fill(v_.begin(), v_.end(), 0.0);
-    t_ = 0;
-}
-
 } // namespace optim
 } // namespace felix

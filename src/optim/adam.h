@@ -31,8 +31,6 @@ class Adam
     /** One minimization step: x -= update(grad). */
     void step(std::vector<double> &x, const std::vector<double> &grad);
 
-    void reset();
-
   private:
     AdamConfig config_;
     std::vector<double> m_, v_;

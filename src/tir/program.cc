@@ -11,15 +11,6 @@ namespace tir {
 using expr::Expr;
 
 expr::Expr
-StageInfo::serialWork() const
-{
-    Expr work = Expr::constant(1.0);
-    for (const LoopInfo &loop : loops)
-        work = work * loop.extent;
-    return work;
-}
-
-expr::Expr
 Program::annotatedExtent(Annotation ann) const
 {
     Expr extent = Expr::constant(1.0);

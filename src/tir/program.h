@@ -70,9 +70,6 @@ struct StageInfo
     bool aggregateLoops = false;
 
     MemScope outputScope = MemScope::Global;
-
-    /** Product of all loop extents (per execution of the stage). */
-    expr::Expr serialWork() const;
 };
 
 /** A scheduled (possibly symbolic) program. */

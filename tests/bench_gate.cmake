@@ -11,6 +11,10 @@
 # Baselines are refreshed by committing a fresh --json-out run from
 # the same machine class (EXPERIMENTS.md records the provenance).
 #
+# Each series runs five times and the report keeps its median
+# (bench/bench_json.h), so one slow repetition on a busy host does
+# not fail the gate.
+#
 # With -DSTRICT_NEW=ON the diff also fails when the fresh run has a
 # benchmark the committed baseline lacks — i.e. the baseline must be
 # re-committed whenever a benchmark series is added, so it always
@@ -39,6 +43,8 @@ set(current "${WORK_DIR}/bench_${BENCH_NAME}.json")
 
 execute_process(
     COMMAND "${BENCH_BIN}" "--json-out=${current}"
+        --benchmark_repetitions=5
+        --benchmark_report_aggregates_only=true
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)

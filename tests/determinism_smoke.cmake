@@ -11,7 +11,10 @@
 #   ansor  --strategy ansor, whose 128-sample fine-tune batches make
 #          eight training chunks;
 #   cold   an empty --cache-dir, so the session first pretrains the
-#          cost model (CostModel::fit, 12 epochs at batch 128).
+#          cost model (CostModel::fit, 12 epochs at batch 128);
+#   warm   --jobs 1 again on cold's --jobs 1 cache, which it loads:
+#          a session that pretrains must tune exactly like one that
+#          loads what it saved.
 # For every pair:
 #   1. the best-schedule files (--out) must compare byte-equal;
 #   2. the round-record JSONL (--metrics-out) must compare equal
@@ -21,6 +24,7 @@
 #      across pool sizes);
 #   3. for cold, the two pretrained cost_model_a5000.txt files must
 #      compare byte-equal.
+# warm is compared to cold at --jobs 1 by 1. and 2.
 
 foreach(var FELIX_TUNE WORK_DIR CACHE_DIR)
     if(NOT DEFINED ${var})
@@ -100,5 +104,9 @@ expect_same_file("${WORK_DIR}/cold_cache_j1/cost_model_a5000.txt"
     "pretrained cost models")
 expect_same_session(cold_j1 cold_j4)
 
+run_tune(warm_j1 "${WORK_DIR}/cold_cache_j1" --jobs 1)
+expect_same_session(cold_j1 warm_j1)
+
 message(STATUS
-    "determinism smoke OK: --jobs 1 == --jobs 4 (felix, ansor, cold)")
+    "determinism smoke OK: --jobs 1 == --jobs 4 (felix, ansor, cold), "
+    "cold == warm")

@@ -4,6 +4,7 @@
 
 #include "expr/compiled.h"
 #include "support/logging.h"
+#include "tape_reference.h"
 
 namespace felix {
 namespace autodiff {
@@ -24,12 +25,13 @@ numericGradient(const Expr &root,
         x.push_back(it->second);
     }
     std::unordered_map<std::string, double> grads;
+    expr::EvalState state;
     for (size_t i = 0; i < x.size(); ++i) {
         std::vector<double> hi = x, lo = x;
         hi[i] += step;
         lo[i] -= step;
-        double fHi = compiled.eval(hi)[0];
-        double fLo = compiled.eval(lo)[0];
+        double fHi = compiled.eval(hi, state)[0];
+        double fLo = compiled.eval(lo, state)[0];
         grads[compiled.varNames()[i]] = (fHi - fLo) / (2.0 * step);
     }
     return grads;
@@ -47,10 +49,7 @@ checkGradients(const Expr &root,
         FELIX_CHECK(it != point.end(), "missing value for ", name);
         x.push_back(it->second);
     }
-    std::vector<double> out;
-    compiled.forward(x, out);
-    std::vector<double> analytic;
-    compiled.backward({1.0}, analytic);
+    std::vector<double> analytic = expr::batchGradient(compiled, x, {1.0});
 
     auto numeric = numericGradient(root, point, step);
 

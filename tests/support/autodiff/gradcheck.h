@@ -2,9 +2,9 @@
  * @file
  * Finite-difference gradient checking.
  *
- * Test support: validates that the reverse-mode tape and the
- * symbolic derivatives agree with central differences on smooth
- * expressions.
+ * Test support: validates that the reverse-mode tape (the batched
+ * sweep descent runs, at width 1) and the symbolic derivatives agree
+ * with central differences on smooth expressions.
  */
 #ifndef FELIX_AUTODIFF_GRADCHECK_H_
 #define FELIX_AUTODIFF_GRADCHECK_H_

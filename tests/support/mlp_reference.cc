@@ -89,6 +89,85 @@ ReferenceMlp::ReferenceMlp(const std::string &full_text)
 }
 
 double
+ReferenceMlp::forwardPass(const std::vector<double> &x,
+                          std::vector<std::vector<double>> &acts) const
+{
+    if (x.size() != static_cast<size_t>(sizes_.front()))
+        throw std::runtime_error("reference MLP: wrong input size");
+    acts.clear();
+    acts.push_back(x);
+    for (size_t li = 0; li < layers_.size(); ++li) {
+        const Layer &layer = layers_[li];
+        std::vector<double> out(layer.out, 0.0);
+        const std::vector<double> &cur = acts.back();
+        for (int o = 0; o < layer.out; ++o) {
+            double acc = layer.bias[o];
+            const double *row =
+                layer.weight.data() + static_cast<size_t>(o) * layer.in;
+            for (int i = 0; i < layer.in; ++i)
+                acc += row[i] * cur[i];
+            // ReLU on hidden layers, identity on the head.
+            if (li + 1 < layers_.size() && acc < 0.0)
+                acc = 0.0;
+            out[o] = acc;
+        }
+        acts.push_back(std::move(out));
+    }
+    return acts.back()[0];
+}
+
+std::vector<double>
+ReferenceMlp::backwardPass(const std::vector<std::vector<double>> &acts,
+                           double seed,
+                           std::vector<std::vector<double>> *gWeight,
+                           std::vector<std::vector<double>> *gBias) const
+{
+    std::vector<double> adj = {seed};
+    for (size_t li = layers_.size(); li-- > 0;) {
+        const Layer &layer = layers_[li];
+        const std::vector<double> &out = acts[li + 1];
+        const std::vector<double> &in = acts[li];
+        std::vector<double> prev(layer.in, 0.0);
+        for (int o = 0; o < layer.out; ++o) {
+            // ReLU gate (hidden layers only).
+            if (li + 1 < layers_.size() && out[o] <= 0.0)
+                continue;
+            const double a = adj[o];
+            const double *row =
+                layer.weight.data() + static_cast<size_t>(o) * layer.in;
+            for (int i = 0; i < layer.in; ++i)
+                prev[i] += a * row[i];
+            if (gWeight) {
+                double *gw = (*gWeight)[li].data() +
+                             static_cast<size_t>(o) * layer.in;
+                for (int i = 0; i < layer.in; ++i)
+                    gw[i] += a * in[i];
+                (*gBias)[li][o] += a;
+            }
+        }
+        adj.swap(prev);
+    }
+    return adj;
+}
+
+double
+ReferenceMlp::forward(const std::vector<double> &x) const
+{
+    std::vector<std::vector<double>> acts;
+    return forwardPass(x, acts);
+}
+
+double
+ReferenceMlp::forwardInputGrad(const std::vector<double> &x,
+                               std::vector<double> &dx) const
+{
+    std::vector<std::vector<double>> acts;
+    const double y = forwardPass(x, acts);
+    dx = backwardPass(acts, 1.0, nullptr, nullptr);
+    return y;
+}
+
+double
 ReferenceMlp::trainBatch(const std::vector<std::vector<double>> &xs,
                          const std::vector<double> &ys, double lr)
 {
@@ -116,54 +195,10 @@ ReferenceMlp::trainBatch(const std::vector<std::vector<double>> &xs,
         }
         std::vector<std::vector<double>> acts;
         for (size_t si = begin; si < end; ++si) {
-            // Forward with stored activations.
-            acts.clear();
-            acts.push_back(xs[si]);
-            for (size_t li = 0; li < layers_.size(); ++li) {
-                const Layer &layer = layers_[li];
-                std::vector<double> out(layer.out, 0.0);
-                const std::vector<double> &cur = acts.back();
-                for (int o = 0; o < layer.out; ++o) {
-                    double acc = layer.bias[o];
-                    const double *row =
-                        layer.weight.data() +
-                        static_cast<size_t>(o) * layer.in;
-                    for (int i = 0; i < layer.in; ++i)
-                        acc += row[i] * cur[i];
-                    if (li + 1 < layers_.size() && acc < 0.0)
-                        acc = 0.0;
-                    out[o] = acc;
-                }
-                acts.push_back(std::move(out));
-            }
-            const double pred = acts.back()[0];
-            const double err = pred - ys[si];
+            const double err = forwardPass(xs[si], acts) - ys[si];
             chunk.loss += err * err;
-
-            // Backward.
-            std::vector<double> adj = {2.0 * err * invBatch};
-            for (size_t li = layers_.size(); li-- > 0;) {
-                const Layer &layer = layers_[li];
-                const std::vector<double> &out = acts[li + 1];
-                const std::vector<double> &in = acts[li];
-                std::vector<double> prev(layer.in, 0.0);
-                for (int o = 0; o < layer.out; ++o) {
-                    if (li + 1 < layers_.size() && out[o] <= 0.0)
-                        continue;
-                    const double a = adj[o];
-                    double *gw = chunk.gWeight[li].data() +
-                                 static_cast<size_t>(o) * layer.in;
-                    const double *row =
-                        layer.weight.data() +
-                        static_cast<size_t>(o) * layer.in;
-                    for (int i = 0; i < layer.in; ++i) {
-                        gw[i] += a * in[i];
-                        prev[i] += a * row[i];
-                    }
-                    chunk.gBias[li][o] += a;
-                }
-                adj.swap(prev);
-            }
+            backwardPass(acts, 2.0 * err * invBatch, &chunk.gWeight,
+                         &chunk.gBias);
         }
     }
 

@@ -1,9 +1,10 @@
 #include "tape_reference.h"
 
 #include <algorithm>
+#include <sstream>
 
-#include "expr/compiled.h"
 #include "expr/op_kernels.h"
+#include "support/batch.h"
 #include "support/logging.h"
 
 namespace felix {
@@ -78,6 +79,30 @@ rawBackward(const RawTape &tape, const std::vector<double> &values,
     }
 }
 
+namespace {
+
+void
+programBackward(const TapeProgram &program, const double *values,
+                double *adjoints)
+{
+    double dummy = 0.0;
+    for (size_t i = program.instrs.size(); i-- > 0;) {
+        const TapeInstr &instr = program.instrs[i];
+        size_t slot = program.firstOpSlot() + i;
+        double adj = adjoints[slot];
+        if (adj == 0.0)
+            continue;
+        double a0 = values[instr.a0];
+        double a1 = instr.a1 >= 0 ? values[instr.a1] : 0.0;
+        opk::backpropOp(instr.op, adj, values[slot], a0, a1,
+                        &adjoints[instr.a0],
+                        instr.a1 >= 0 ? &adjoints[instr.a1] : &dummy,
+                        instr.a2 >= 0 ? &adjoints[instr.a2] : &dummy);
+    }
+}
+
+} // namespace
+
 void
 runProgramForward(const TapeProgram &program,
                   const std::vector<double> &inputs,
@@ -120,6 +145,48 @@ runProgramBackward(const TapeProgram &program,
                            program.numVars);
 }
 
+std::vector<double>
+referenceGradient(const CompiledExprs &compiled,
+                  const std::vector<double> &inputs,
+                  const std::vector<double> &seeds,
+                  std::vector<double> *outputs)
+{
+    std::vector<double> values, out, grads;
+    runProgramForward(compiled.program(), inputs, values, out);
+    runProgramBackward(compiled.program(), values, seeds, grads);
+    if (outputs)
+        *outputs = std::move(out);
+    return grads;
+}
+
+std::vector<double>
+batchGradient(const CompiledExprs &compiled,
+              const std::vector<double> &inputs,
+              const std::vector<double> &seeds)
+{
+    constexpr size_t L = kBatchLanes;
+    FELIX_CHECK(inputs.size() == compiled.numVars(),
+                "batchGradient: expected ", compiled.numVars(),
+                " inputs");
+    FELIX_CHECK(seeds.size() == compiled.numOutputs(),
+                "batchGradient: expected ", compiled.numOutputs(),
+                " seeds");
+    std::vector<double> rows(inputs.size() * L, 0.0);
+    for (size_t v = 0; v < inputs.size(); ++v)
+        rows[v * L] = inputs[v];
+    BatchEvalState state;
+    compiled.forwardBatchKeep(rows.data(), 1, state);
+    compiled.beginBackwardBatch(state);
+    for (size_t k = 0; k < seeds.size(); ++k)
+        compiled.outputAdjRowPtr(k, state)[0] += seeds[k];
+    std::vector<double> gradRows(inputs.size() * L);
+    compiled.finishBackwardBatch(gradRows.data(), state);
+    std::vector<double> grads(inputs.size());
+    for (size_t v = 0; v < inputs.size(); ++v)
+        grads[v] = gradRows[v * L];
+    return grads;
+}
+
 double
 evalExpr(const Expr &e,
          const std::unordered_map<std::string, double> &env)
@@ -132,8 +199,45 @@ evalExpr(const Expr &e,
         FELIX_CHECK(it != env.end(), "missing value for variable ", name);
         inputs.push_back(it->second);
     }
-    return compiled.eval(inputs)[0];
+    EvalState state;
+    return compiled.eval(inputs, state)[0];
 }
 
 } // namespace expr
+
+namespace reference {
+
+namespace {
+
+std::string
+fullText(const costmodel::Mlp &mlp)
+{
+    std::ostringstream os;
+    mlp.saveFull(os);
+    return os.str();
+}
+
+} // namespace
+
+ReferenceCostModel::ReferenceCostModel(const costmodel::CostModel &model)
+    : mlp_(fullText(model.mlp())), scaler_(model.scaler()),
+      targetMean_(model.targetMean())
+{
+}
+
+double
+ReferenceCostModel::predictTransformedWithGrad(
+    const std::vector<double> &transformed,
+    std::vector<double> &grad) const
+{
+    const double score =
+        mlp_.forwardInputGrad(scaler_.apply(transformed), grad);
+    // Chain through standardization: d/dz = d/dz' / sigma.
+    const std::vector<double> &stds = scaler_.stddevs();
+    for (size_t i = 0; i < grad.size(); ++i)
+        grad[i] /= stds[i];
+    return targetMean_ + score;
+}
+
+} // namespace reference
 } // namespace felix

@@ -123,10 +123,9 @@ TEST(TapeVsSymbolic, AgreeOnCompositeExpression)
              expr::sqrt(x * x + y * y) + expr::sigmoid(x - y);
 
     expr::CompiledExprs compiled({e});
-    std::vector<double> out, tapeGrads;
     std::vector<double> point = {1.7, 0.9};   // x, y (sorted order)
-    compiled.forward(point, out);
-    compiled.backward({1.0}, tapeGrads);
+    std::vector<double> tapeGrads =
+        expr::batchGradient(compiled, point, {1.0});
 
     Expr dx = derivative(e, "x");
     Expr dy = derivative(e, "y");

@@ -2,14 +2,17 @@
  * @file
  * Tests for the BENCH_*.json capture shared by bench_tape and
  * bench_serve: per-iteration real time reaches the report in
- * nanoseconds whatever a benchmark's Unit(), the rendered report
- * parses back with the fields felix-bench-diff matches on, and a
- * suite writes a report only when asked to.
+ * nanoseconds whatever a benchmark's Unit(), repeated runs keep one
+ * row per series (the median), the rendered report parses back with
+ * the fields felix-bench-diff matches on, and a suite writes a
+ * report only when asked to.
  */
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -43,6 +46,61 @@ TEST(BenchJson, RealTimeIsNanosecondsInEveryUnit)
         EXPECT_NEAR(realTimeNs(run), 58.5e3, 58.5e3 * 1e-12)
             << "unit " << benchmark::GetTimeUnitString(c.unit);
     }
+}
+
+/** A run of series "series/simd=avx2" taking @p us per iteration. */
+benchmark::BenchmarkReporter::Run
+seriesRun(double us, int64_t repetitions)
+{
+    benchmark::BenchmarkReporter::Run run;
+    run.run_name.function_name = "series/simd=avx2";
+    run.iterations = 1;
+    run.repetitions = repetitions;
+    run.time_unit = benchmark::kMicrosecond;
+    run.real_accumulated_time = us * 1e-6;
+    run.counters["steps_per_sec"] = 1e6 / us;
+    return run;
+}
+
+benchmark::BenchmarkReporter::Run
+aggregateRun(const char *name, double us)
+{
+    benchmark::BenchmarkReporter::Run run = seriesRun(us, 5);
+    run.run_type = benchmark::BenchmarkReporter::Run::RT_Aggregate;
+    run.aggregate_name = name;
+    return run;
+}
+
+TEST(BenchJson, RepetitionsKeepTheMedianUnderTheSeriesName)
+{
+    std::ostringstream console;
+    CaptureReporter reporter;
+    reporter.SetOutputStream(&console);
+    reporter.SetErrorStream(&console);
+
+    // --benchmark_repetitions=5 without aggregates-only: the five
+    // repetitions, then mean, median and stddev.
+    std::vector<benchmark::BenchmarkReporter::Run> runs;
+    for (double us : {120.0, 174.0, 115.0, 118.0, 116.0})
+        runs.push_back(seriesRun(us, 5));
+    reporter.ReportRuns(runs);
+    reporter.ReportRuns({aggregateRun("mean", 128.6),
+                         aggregateRun("median", 118.0),
+                         aggregateRun("stddev", 25.2)});
+    ASSERT_EQ(reporter.runs().size(), 1u);
+    EXPECT_EQ(reporter.runs()[0].name, "series/simd=avx2");
+    EXPECT_NEAR(reporter.runs()[0].realTimeNs, 118.0e3, 1e-6);
+    EXPECT_NEAR(reporter.runs()[0].counters.at("steps_per_sec"),
+                1e6 / 118.0, 1e-9);
+
+    // Without repetitions the one run is the row.
+    CaptureReporter single;
+    single.SetOutputStream(&console);
+    single.SetErrorStream(&console);
+    single.ReportRuns({seriesRun(50.0, 1)});
+    ASSERT_EQ(single.runs().size(), 1u);
+    EXPECT_EQ(single.runs()[0].name, "series/simd=avx2");
+    EXPECT_NEAR(single.runs()[0].realTimeNs, 50.0e3, 1e-6);
 }
 
 TEST(BenchJson, RenderedReportParsesBack)

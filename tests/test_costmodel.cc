@@ -5,19 +5,27 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "costmodel/cost_model.h"
 #include "costmodel/dataset.h"
+#include "costmodel/fused.h"
 #include "costmodel/mlp.h"
+#include "expr/compiled.h"
 #include "features/features.h"
+#include "support/batch.h"
 
 namespace felix {
 namespace costmodel {
 namespace {
+
+constexpr size_t L = kBatchLanes;
 
 MlpConfig
 tinyConfig(int inputs = 4)
@@ -27,12 +35,42 @@ tinyConfig(int inputs = 4)
     return config;
 }
 
+/** @p x as lane 0 of SoA rows (the other lanes zero). */
+std::vector<double>
+lane0Rows(const std::vector<double> &x)
+{
+    std::vector<double> rows(x.size() * L, 0.0);
+    for (size_t i = 0; i < x.size(); ++i)
+        rows[i * L] = x[i];
+    return rows;
+}
+
+/** The network's score of one point: forwardBatch at width 1. */
+double
+score(const Mlp &mlp, const std::vector<double> &x)
+{
+    MlpBatchScratch scratch;
+    double y = 0.0;
+    mlp.forwardBatch(lane0Rows(x).data(), 1, &y, scratch);
+    return y;
+}
+
+/** The model's score of one raw point: predictBatch at width 1. */
+double
+predict(const CostModel &model, const std::vector<double> &raw)
+{
+    PredictScratch scratch;
+    double y = 0.0;
+    model.predictBatch(lane0Rows(raw).data(), 1, &y, scratch);
+    return y;
+}
+
 TEST(MlpTest, DeterministicForward)
 {
     Rng rngA(5), rngB(5);
     Mlp a(tinyConfig(), rngA), b(tinyConfig(), rngB);
     std::vector<double> x = {0.1, -0.2, 0.3, 0.4};
-    EXPECT_DOUBLE_EQ(a.forward(x), b.forward(x));
+    EXPECT_DOUBLE_EQ(score(a, x), score(b, x));
 }
 
 TEST(MlpTest, ParameterCount)
@@ -48,16 +86,22 @@ TEST(MlpTest, InputGradMatchesFiniteDifference)
     Rng rng(3);
     Mlp mlp(tinyConfig(), rng);
     std::vector<double> x = {0.3, -0.1, 0.7, 0.2};
-    std::vector<double> grad;
-    mlp.forwardInputGrad(x, grad);
-    ASSERT_EQ(grad.size(), x.size());
+    // The staged input gradient of one point, as the fused step
+    // stages it.
+    MlpBatchScratch scratch;
+    const std::vector<double> rows = lane0Rows(x);
+    std::copy(rows.begin(), rows.end(), mlp.stageInputRows(scratch));
+    double y = 0.0;
+    mlp.forwardInputGradStaged(1, &y, scratch);
+    EXPECT_DOUBLE_EQ(y, score(mlp, x));
+    const double *grad = mlp.inputGradRows(scratch);
     const double h = 1e-6;
     for (size_t i = 0; i < x.size(); ++i) {
         auto hi = x, lo = x;
         hi[i] += h;
         lo[i] -= h;
-        double numeric = (mlp.forward(hi) - mlp.forward(lo)) / (2 * h);
-        EXPECT_NEAR(grad[i], numeric, 1e-4) << "input " << i;
+        double numeric = (score(mlp, hi) - score(mlp, lo)) / (2 * h);
+        EXPECT_NEAR(grad[i * L], numeric, 1e-4) << "input " << i;
     }
 }
 
@@ -80,7 +124,7 @@ TEST(MlpTest, LearnsLinearFunction)
     auto mse = [&] {
         double sum = 0.0;
         for (size_t i = 0; i < xs.size(); ++i) {
-            double err = mlp.forward(xs[i]) - ys[i];
+            double err = score(mlp, xs[i]) - ys[i];
             sum += err * err;
         }
         return sum / static_cast<double>(xs.size());
@@ -101,7 +145,7 @@ TEST(MlpTest, SaveLoadRoundTrip)
     std::stringstream buffer;
     mlp.save(buffer);
     Mlp loaded = Mlp::load(buffer);
-    EXPECT_DOUBLE_EQ(mlp.forward(x), loaded.forward(x));
+    EXPECT_DOUBLE_EQ(score(mlp, x), score(loaded, x));
 }
 
 TEST(ScalerTest, StandardizesColumns)
@@ -167,22 +211,47 @@ TEST(CostModelTest, PredictWithGradConsistent)
     CostModel model(config, 3);
     model.fit(samples, 3, 64, 1e-3);
 
+    // The fused descent step at width 1 over an identity tape
+    // (output k is input k) and no penalties: its score is the
+    // model's score of the transformed features, and its input
+    // gradient is -d(score)/d(transformed feature).
+    std::vector<std::string> names;
+    std::vector<expr::Expr> roots;
+    for (int j = 0; j < features::kNumFeatures; ++j) {
+        names.push_back("f" + std::to_string(j));
+        roots.push_back(expr::Expr::var(names.back()));
+    }
+    const expr::CompiledExprs identity(roots, names);
+    const FusedGradStep step(identity, model, roots.size(), 0, 0.0);
+    const auto run = [&](const std::vector<double> &transformed,
+                         std::vector<double> &grad) {
+        std::vector<double> gradRows(transformed.size() * L);
+        expr::BatchEvalState tape;
+        PredictScratch scratch;
+        double score = 0.0;
+        step.run(lane0Rows(transformed).data(), 1, &score,
+                 gradRows.data(), tape, scratch);
+        grad.resize(transformed.size());
+        for (size_t i = 0; i < grad.size(); ++i)
+            grad[i] = -gradRows[i * L];
+        return score;
+    };
+
     std::vector<double> transformed =
         CostModel::transformFeatures(samples[0].rawFeatures);
     std::vector<double> grad;
-    double score = model.predictTransformedWithGrad(transformed, grad);
-    EXPECT_NEAR(score, model.predict(samples[0].rawFeatures), 1e-9);
-    // Finite-difference check on one transformed coordinate.
-    int idx = 6;
+    EXPECT_DOUBLE_EQ(run(transformed, grad),
+                     predict(model, samples[0].rawFeatures));
+    // Central differences on a few transformed coordinates.
     const double h = 1e-5;
-    auto hi = transformed, lo = transformed;
-    hi[idx] += h;
-    lo[idx] -= h;
-    std::vector<double> tmp;
-    double numeric = (model.predictTransformedWithGrad(hi, tmp) -
-                      model.predictTransformedWithGrad(lo, tmp)) /
-                     (2 * h);
-    EXPECT_NEAR(grad[idx], numeric, 1e-4);
+    for (size_t idx : {0, 6, 12, 40, 81}) {
+        auto hi = transformed, lo = transformed;
+        hi[idx] += h;
+        lo[idx] -= h;
+        std::vector<double> tmp;
+        double numeric = (run(hi, tmp) - run(lo, tmp)) / (2 * h);
+        EXPECT_NEAR(grad[idx], numeric, 1e-4) << "feature " << idx;
+    }
 }
 
 TEST(CostModelTest, SaveLoadPredictsIdentically)
@@ -205,8 +274,8 @@ TEST(CostModelTest, SaveLoadPredictsIdentically)
     model.save(path);
     auto loaded = CostModel::tryLoad(path);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_NEAR(model.predict(samples[0].rawFeatures),
-                loaded->predict(samples[0].rawFeatures), 1e-12);
+    EXPECT_NEAR(predict(model, samples[0].rawFeatures),
+                predict(*loaded, samples[0].rawFeatures), 1e-12);
     std::remove(path.c_str());
 }
 
@@ -233,14 +302,14 @@ TEST(CostModelTest, FinetuneShiftsPredictions)
     CostModel model(config, 6);
     // Fit until predictions approach the true target -log(1e-4).
     model.fit(samples, 40, 64, 2e-3);
-    double before = model.predict(samples[0].rawFeatures);
+    double before = predict(model, samples[0].rawFeatures);
     EXPECT_NEAR(before, CostModel::targetOf(1e-4), 1.5);
     // Fresh measurements say everything is 10x slower.
     std::vector<Sample> fresh = samples;
     for (Sample &sample : fresh)
         sample.latencySec = 1e-3;
     model.finetune(fresh, 128, 1e-3);
-    double after = model.predict(samples[0].rawFeatures);
+    double after = predict(model, samples[0].rawFeatures);
     EXPECT_LT(after, before);
 }
 
@@ -270,13 +339,20 @@ TEST(Dataset, PretrainedModelCacheRoundTrip)
     options.schedulesPerSketch = 8;
     options.seed = 77;
     const std::string cacheDir = "test_pretrained_tmp";
+    std::filesystem::remove_all(cacheDir);
     auto first = pretrainedCostModel(sim::DeviceKind::A5000, cacheDir,
                                      options);
     // Second call must hit the cache and predict identically.
     auto second = pretrainedCostModel(sim::DeviceKind::A5000,
                                       cacheDir, options);
     std::vector<double> raw(features::kNumFeatures, 3.0);
-    EXPECT_DOUBLE_EQ(first.predict(raw), second.predict(raw));
+    EXPECT_DOUBLE_EQ(predict(first, raw), predict(second, raw));
+    // The cold model is the warm one in every trainable bit, Adam's
+    // moments and step included, so both sessions fine-tune alike.
+    std::ostringstream cold, warm;
+    first.saveState(cold);
+    second.saveState(warm);
+    EXPECT_TRUE(cold.str() == warm.str());
     std::filesystem::remove_all(cacheDir);
 }
 

@@ -210,7 +210,8 @@ TEST(Compiled, SharesCommonSubexpressions)
     // x, x*x, +1, const 1, const 2, const 3, two muls => 8 slots max;
     // without sharing it would be more.
     EXPECT_LE(compiled.tapeSize(), 9u);
-    auto out = compiled.eval({2.0});
+    EvalState state;
+    auto out = compiled.eval({2.0}, state);
     EXPECT_DOUBLE_EQ(out[0], 10.0);
     EXPECT_DOUBLE_EQ(out[1], 15.0);
 }
@@ -219,7 +220,8 @@ TEST(Compiled, MultipleOutputsAndOrder)
 {
     Expr x = Expr::var("x"), y = Expr::var("y");
     CompiledExprs compiled({x + y, x * y, x - y});
-    auto out = compiled.eval({5.0, 3.0});
+    EvalState state;
+    auto out = compiled.eval({5.0, 3.0}, state);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_DOUBLE_EQ(out[0], 8.0);
     EXPECT_DOUBLE_EQ(out[1], 15.0);
@@ -230,7 +232,8 @@ TEST(Compiled, ExplicitVarOrder)
 {
     Expr x = Expr::var("x"), y = Expr::var("y");
     CompiledExprs compiled({x - y}, {"y", "x"});
-    auto out = compiled.eval({3.0, 5.0});   // y=3, x=5
+    EvalState state;
+    auto out = compiled.eval({3.0, 5.0}, state);   // y=3, x=5
     EXPECT_DOUBLE_EQ(out[0], 2.0);
 }
 
@@ -238,9 +241,7 @@ TEST(Compiled, BackwardSimpleProduct)
 {
     Expr x = Expr::var("x"), y = Expr::var("y");
     CompiledExprs compiled({x * y});
-    std::vector<double> out, grads;
-    compiled.forward({3.0, 4.0}, out);
-    compiled.backward({1.0}, grads);
+    std::vector<double> grads = batchGradient(compiled, {3.0, 4.0}, {1.0});
     ASSERT_EQ(grads.size(), 2u);
     EXPECT_DOUBLE_EQ(grads[0], 4.0);   // d/dx
     EXPECT_DOUBLE_EQ(grads[1], 3.0);   // d/dy
@@ -250,9 +251,7 @@ TEST(Compiled, BackwardAccumulatesAcrossOutputs)
 {
     Expr x = Expr::var("x");
     CompiledExprs compiled({x * x, x * 3.0});
-    std::vector<double> out, grads;
-    compiled.forward({2.0}, out);
-    compiled.backward({1.0, 2.0}, grads);
+    std::vector<double> grads = batchGradient(compiled, {2.0}, {1.0, 2.0});
     // d(x^2)/dx * 1 + d(3x)/dx * 2 = 4 + 6 = 10.
     EXPECT_DOUBLE_EQ(grads[0], 10.0);
 }
@@ -261,9 +260,7 @@ TEST(Compiled, BackwardSubgradientMax)
 {
     Expr x = Expr::var("x"), y = Expr::var("y");
     CompiledExprs compiled({max(x, y)});
-    std::vector<double> out, grads;
-    compiled.forward({5.0, 2.0}, out);
-    compiled.backward({1.0}, grads);
+    std::vector<double> grads = batchGradient(compiled, {5.0, 2.0}, {1.0});
     EXPECT_DOUBLE_EQ(grads[0], 1.0);
     EXPECT_DOUBLE_EQ(grads[1], 0.0);
 }
@@ -272,9 +269,10 @@ TEST(Compiled, ReusableAcrossCalls)
 {
     Expr x = Expr::var("x");
     CompiledExprs compiled({x * x});
-    EXPECT_DOUBLE_EQ(compiled.eval({2.0})[0], 4.0);
-    EXPECT_DOUBLE_EQ(compiled.eval({3.0})[0], 9.0);
-    EXPECT_DOUBLE_EQ(compiled.eval({4.0})[0], 16.0);
+    EvalState state;
+    EXPECT_DOUBLE_EQ(compiled.eval({2.0}, state)[0], 4.0);
+    EXPECT_DOUBLE_EQ(compiled.eval({3.0}, state)[0], 9.0);
+    EXPECT_DOUBLE_EQ(compiled.eval({4.0}, state)[0], 16.0);
 }
 
 TEST(Helpers, IntConstAndDoubleOperators)

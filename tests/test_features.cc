@@ -14,6 +14,7 @@
 #include "support/logging.h"
 #include "sketch/sampling.h"
 #include "sketch/sketch.h"
+#include "tape_reference.h"
 #include "tir/ops.h"
 
 namespace felix {
@@ -262,8 +263,9 @@ TEST(Pipeline, SmoothedFeaturesTrackRawOnes)
 
     expr::CompiledExprs rawCompiled(raw, names);
     expr::CompiledExprs smoothCompiled(pipelined, names);
-    auto rawVals = rawCompiled.eval(x);
-    auto smoothVals = smoothCompiled.eval(y);
+    expr::EvalState state;
+    auto rawVals = rawCompiled.eval(x, state);
+    auto smoothVals = smoothCompiled.eval(y, state);
 
     int checked = 0;
     for (int i = 0; i < kNumFeatures; ++i) {
@@ -291,10 +293,8 @@ TEST(Pipeline, SmoothedFeaturesHaveGradients)
         names);
 
     std::vector<double> y(names.size(), std::log(4.0));
-    std::vector<double> out, grads;
-    compiled.forward(y, out);
-    std::vector<double> seed(out.size(), 1.0);
-    compiled.backward(seed, grads);
+    std::vector<double> seed(compiled.numOutputs(), 1.0);
+    std::vector<double> grads = expr::batchGradient(compiled, y, seed);
     double norm = 0.0;
     for (double g : grads) {
         EXPECT_TRUE(std::isfinite(g));
@@ -313,7 +313,8 @@ TEST(SharedBytes, MatchesFeatureFormula)
     Expr shared = sharedBytesPerBlock(full.program);
     expr::CompiledExprs compiled({shared}, names);
     std::vector<double> x(full.vars.size(), 1.0);
-    double bytes = compiled.eval(x)[0];
+    expr::EvalState state;
+    double bytes = compiled.eval(x, state)[0];
     auto f = featuresAt(full, x);
     EXPECT_NEAR(bytes, f[featureIndex("shared_bytes_total")], 1e-6);
 }

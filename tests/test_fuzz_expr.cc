@@ -117,9 +117,8 @@ TEST(FuzzExpr, TapeGradMatchesSymbolicOnSmoothTrees)
         std::vector<double> x;
         for (const std::string &name : compiled.varNames())
             x.push_back(env.at(name));
-        std::vector<double> out, tapeGrad;
-        compiled.forward(x, out);
-        compiled.backward({1.0}, tapeGrad);
+        std::vector<double> tapeGrad =
+            expr::batchGradient(compiled, x, {1.0});
 
         for (size_t i = 0; i < compiled.numVars(); ++i) {
             Expr d = autodiff::derivative(

@@ -26,6 +26,7 @@
 #include "sketch/sketch.h"
 #include "support/logging.h"
 #include "support/string_util.h"
+#include "tape_reference.h"
 #include "tir/ops.h"
 
 namespace felix {
@@ -141,9 +142,10 @@ TEST_P(ShapeSweep, LoopNestConservesIterationDomain)
 
         const double expected = static_cast<double>(
             sh.subgraph.dominantOp().totalPoints());
+        expr::EvalState state;
         for (int i = 0; i < 8; ++i) {
             auto x = sketch::sampleValid(sched, rng);
-            double total = compiled.eval(x)[0];
+            double total = compiled.eval(x, state)[0];
             EXPECT_NEAR(total, expected, expected * 1e-9)
                 << sh.name << " / " << sched.desc;
         }
@@ -187,9 +189,10 @@ TEST_P(ShapeSweep, FeaturesFiniteAndNonNegative)
             names.push_back(domain.name);
         auto formulas = features::extractFeatures(sched.program);
         expr::CompiledExprs compiled(formulas, names);
+        expr::EvalState state;
         for (int i = 0; i < 4; ++i) {
             auto x = sketch::sampleValid(sched, rng);
-            auto f = compiled.eval(x);
+            auto f = compiled.eval(x, state);
             for (int j = 0; j < features::kNumFeatures; ++j) {
                 ASSERT_TRUE(std::isfinite(f[j]))
                     << sh.name << " " << features::featureNames()[j];
@@ -222,15 +225,12 @@ TEST_P(ShapeSweep, SmoothedObjectiveHasFiniteGradients)
         names);
 
     Rng rng(41);
-    std::vector<double> out, grads;
+    const std::vector<double> seed(compiled.numOutputs(), 1.0);
     for (int i = 0; i < 6; ++i) {
         std::vector<double> y(names.size());
         for (double &v : y)
             v = rng.uniform(0.0, 4.0);   // arbitrary log-space point
-        compiled.forward(y, out);
-        std::vector<double> seed(out.size(), 1.0);
-        compiled.backward(seed, grads);
-        for (double g : grads)
+        for (double g : expr::batchGradient(compiled, y, seed))
             ASSERT_TRUE(std::isfinite(g)) << sh.name;
     }
 }
@@ -249,10 +249,11 @@ TEST_P(ShapeSweep, SimulatorRespectsRooflineBounds)
             names.push_back(domain.name);
         auto formulas = features::extractFeatures(sched.program);
         expr::CompiledExprs compiled(formulas, names);
+        expr::EvalState state;
         for (int i = 0; i < 4; ++i) {
             auto x = sketch::sampleValid(sched, rng);
-            double latency = sim::kernelLatency(compiled.eval(x),
-                                                device);
+            double latency = sim::kernelLatency(
+                compiled.eval(x, state), device);
             // Never faster than the compute roofline + launch.
             EXPECT_GE(latency,
                       roofline + device.launchOverheadUs * 1e-6 -

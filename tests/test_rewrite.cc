@@ -19,6 +19,7 @@ namespace felix {
 namespace rewrite {
 namespace {
 
+using expr::batchGradient;
 using expr::Expr;
 using expr::evalExpr;
 
@@ -150,16 +151,11 @@ TEST(MakeSmooth, GradientsExistEverywhere)
                             Expr::constant(10.0), Expr::constant(1.0));
     Expr smooth = makeSmooth(raw);
     expr::CompiledExprs compiled({smooth});
-    std::vector<double> out, grads;
-    compiled.forward({4.0}, out);
-    compiled.backward({1.0}, grads);
-    EXPECT_GT(grads[0], 0.1);
+    EXPECT_GT(batchGradient(compiled, {4.0}, {1.0})[0], 0.1);
 
     // The raw select has zero gradient: nothing for GD to follow.
     expr::CompiledExprs rawCompiled({raw});
-    rawCompiled.forward({4.0}, out);
-    rawCompiled.backward({1.0}, grads);
-    EXPECT_DOUBLE_EQ(grads[0], 0.0);
+    EXPECT_DOUBLE_EQ(batchGradient(rawCompiled, {4.0}, {1.0})[0], 0.0);
 }
 
 TEST(MakeSmooth, BareComparisonBecomesStep)
@@ -291,9 +287,8 @@ TEST(FeaturePipeline, LinearGrowthInLogSpace)
     double v1 = evalExpr(out, {{"N", 1.0}, {"M", 2.0}, {"K", 3.0}});
     EXPECT_NEAR(v1, 6.0, 1e-9);
     expr::CompiledExprs compiled({out});
-    std::vector<double> o, g;
-    compiled.forward({10.0, 10.0, 10.0}, o);
-    compiled.backward({1.0}, g);
+    std::vector<double> g =
+        batchGradient(compiled, {10.0, 10.0, 10.0}, {1.0});
     // All partials are exactly 1: no vanishing gradient even at
     // feature value e^30.
     EXPECT_NEAR(g[0], 1.0, 1e-9);
@@ -313,11 +308,9 @@ TEST_P(KernelSweep, SmoothedSelectHasFiniteGradEverywhere)
     Expr smooth = makeSmooth(raw, kernel);
     EXPECT_TRUE(isSmooth(smooth));
     expr::CompiledExprs compiled({smooth});
-    std::vector<double> out, grads;
     for (double v = -4.0; v <= 8.0; v += 0.5) {
-        compiled.forward({v}, out);
-        compiled.backward({1.0}, grads);
-        EXPECT_TRUE(std::isfinite(grads[0]))
+        const double grad = batchGradient(compiled, {v}, {1.0})[0];
+        EXPECT_TRUE(std::isfinite(grad))
             << kernelName(kernel) << " at " << v;
     }
 }

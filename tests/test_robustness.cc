@@ -185,6 +185,32 @@ TEST(Robustness, CorruptModuleFileRejected)
         os << "wrong-magic v9\n";
     }
     EXPECT_FALSE(CompiledModule::load(path).has_value());
+
+    // One config line each: weight, sketch index, latency, schedule
+    // value count, values, label. A count of -1 reads as SIZE_MAX.
+    const auto loads = [&](const std::string &module_latency,
+                           const std::string &config) {
+        {
+            std::ofstream os(path);
+            os << "felix-module v1\n"
+               << module_latency << " 1\n"
+               << config << "\n";
+        }
+        return CompiledModule::load(path).has_value();
+    };
+    EXPECT_TRUE(loads("0.001", "2 1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 0.0005 -1 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 0.0005 4097 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "0 1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "-3 1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 -1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 -0.5 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 0 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 inf 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "2 1 nan 2 4 8 conv"));
+    EXPECT_FALSE(loads("-0.001", "2 1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0", "2 1 0.0005 2 4 8 conv"));
+    EXPECT_FALSE(loads("0.001", "-3 -1 -0.5 2 4 8 conv"));
     std::remove(path);
 }
 

@@ -2,15 +2,16 @@
  * @file
  * SIMD backend parity matrix (ctest label "simd"): every vector
  * backend compiled in AND supported by this CPU must produce
- * bit-identical results to the scalar fallback on every hot kernel —
- * tape forward/backward at every ragged batch width, the batched MLP
- * forward / input-gradient / training paths, the Adam update, the
- * fused surrogate gradient step against the scalar chain of each
- * lane, and a full gradient-search round. Also pins the dispatch
- * semantics (availableWidths / setPreferredWidth / simd.width gauge)
- * and carries the FMA-contraction canary that fails if the build
- * ever drops -ffp-contract=off on an FMA-capable target (see the
- * note in the top-level CMakeLists.txt). Re-run under sanitizers with
+ * bit-identical results on every hot kernel — tape forward/backward
+ * at every ragged batch width, the batched MLP forward /
+ * input-gradient / training paths and the fused surrogate gradient
+ * step against the per-point references in tests/support/, and the
+ * Adam update and a full gradient-search round against the scalar
+ * fallback. Also pins the dispatch semantics (availableWidths /
+ * setPreferredWidth / simd.width gauge) and carries the
+ * FMA-contraction canary that fails if the build ever drops
+ * -ffp-contract=off on an FMA-capable target (see the note in the
+ * top-level CMakeLists.txt). Re-run under sanitizers with
  * cmake -DFELIX_SANITIZE=... && ctest -L simd.
  */
 #include <gtest/gtest.h>
@@ -28,7 +29,6 @@
 #include "costmodel/dataset.h"
 #include "costmodel/fused.h"
 #include "costmodel/mlp.h"
-#include "mlp_reference.h"
 #include "expr/compiled.h"
 #include "obs/metrics.h"
 #include "optim/adam.h"
@@ -38,6 +38,7 @@
 #include "support/batch.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "tape_reference.h"
 #include "tir/ops.h"
 
 namespace felix {
@@ -181,8 +182,8 @@ TEST(SimdFmaCanary, MulAddIsSeparatelyRoundedOnEveryBackend)
 }
 
 // ---------------------------------------------------------------
-// Tape forward/backward: every backend vs. the scalar per-point
-// engine, at every ragged batch width 1..kBatchLanes.
+// Tape forward/backward: every backend vs. the per-point reference
+// sweeps, at every ragged batch width 1..kBatchLanes.
 // ---------------------------------------------------------------
 
 TEST(SimdParity, TapeForwardBackwardEveryBackendEveryWidth)
@@ -219,14 +220,12 @@ TEST(SimdParity, TapeForwardBackwardEveryBackendEveryWidth)
                 }
             }
 
-            // Scalar per-point reference (engine, not backend).
-            expr::EvalState scalarState;
+            // Per-point reference (engine, not backend).
             std::vector<std::vector<double>> refOut(width);
             std::vector<std::vector<double>> refGrad(width);
-            for (size_t l = 0; l < width; ++l) {
-                compiled.forward(points[l], refOut[l], scalarState);
-                compiled.backward(seeds[l], refGrad[l], scalarState);
-            }
+            for (size_t l = 0; l < width; ++l)
+                refGrad[l] = expr::referenceGradient(
+                    compiled, points[l], seeds[l], &refOut[l]);
 
             for (int w : widths) {
                 ASSERT_TRUE(setPreferredWidth(w));
@@ -263,13 +262,23 @@ TEST(SimdParity, TapeForwardBackwardEveryBackendEveryWidth)
 
 // ---------------------------------------------------------------
 // Batched MLP forward and backward (input gradient): every backend
-// vs. the scalar path, at every ragged width. The live width goes to
-// the batched entry points and every lane at or past it holds NaN,
-// so a kernel that sweeps a chunk too few, or lets a padding lane
-// reach a live one, fails here.
+// vs. the per-sample reference, at every ragged width. The live
+// width goes to the batched entry points and every lane at or past
+// it holds NaN, so a kernel that sweeps a chunk too few, or lets a
+// padding lane reach a live one, fails here.
 // ---------------------------------------------------------------
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/** The per-sample reference of @p mlp, read from its saved weights
+ *  (not from the transposed copy the batched input gradient uses). */
+reference::ReferenceMlp
+referenceOf(const costmodel::Mlp &mlp)
+{
+    std::ostringstream text;
+    mlp.saveFull(text);
+    return reference::ReferenceMlp(text.str());
+}
 
 TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
 {
@@ -277,12 +286,12 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
     costmodel::MlpConfig config;
     config.layerSizes = {6, 16, 8, 1};
     costmodel::Mlp mlp(config, rng);
+    const reference::ReferenceMlp ref = referenceOf(mlp);
     constexpr size_t L = kBatchLanes;
     const size_t in = 6;
     const std::vector<int> widths = availableWidths();
     WidthGuard restore(0);
 
-    costmodel::MlpScratch scalarScratch;
     for (int trial = 0; trial < 10; ++trial) {
         for (size_t width = 1; width <= L; ++width) {
             std::vector<std::vector<double>> points(width);
@@ -298,8 +307,7 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
             std::vector<double> refY(width);
             std::vector<std::vector<double>> refDx(width);
             for (size_t l = 0; l < width; ++l)
-                refY[l] = mlp.forwardInputGrad(points[l], refDx[l],
-                                               scalarScratch);
+                refY[l] = ref.forwardInputGrad(points[l], refDx[l]);
 
             for (int w : widths) {
                 ASSERT_TRUE(setPreferredWidth(w));
@@ -360,12 +368,11 @@ TEST(SimdParity, MlpTrainingTrajectoryScalarVsWidestBitExact)
         const double lossVector = mlpVector.trainBatch(xs, ys, 1e-2);
         EXPECT_BITEQ(lossScalar, lossVector) << "step " << step;
     }
-    // Parameters diverged iff predictions diverge.
-    setPreferredWidth(0);
-    costmodel::MlpScratch scratch;
-    for (const auto &x : xs)
-        EXPECT_BITEQ(mlpScalar.forward(x, scratch),
-                     mlpVector.forward(x, scratch));
+    // Every parameter and Adam moment must match too.
+    std::ostringstream stateScalar, stateVector;
+    mlpScalar.saveFull(stateScalar);
+    mlpVector.saveFull(stateVector);
+    EXPECT_TRUE(stateScalar.str() == stateVector.str());
 }
 
 // ---------------------------------------------------------------
@@ -378,17 +385,19 @@ TEST(SimdParity, MlpTrainingTrajectoryScalarVsWidestBitExact)
 // ragged part of a chunk, one chunk, one chunk and one sample, and
 // the Felix and Ansor fine-tune sizes. After every step, and after a
 // saveFull/loadFull round trip, the batched input gradient (which
-// runs on the cached transposed weights) must still equal the scalar
-// one (which reads the weights), so a stale cache fails here.
+// runs on the cached transposed weights) must still equal that of
+// the reference after the same steps (which reads its weights), so a
+// stale cache fails here.
 // ---------------------------------------------------------------
 
-/** The staged batched input gradient over the first kBatchLanes of
- *  @p points (padding lanes NaN) against the scalar
+/** The staged batched input gradient of @p mlp over the first
+ *  kBatchLanes of @p points (padding lanes NaN) against @p ref's
  *  forwardInputGrad. */
 void
-expectInputGradMatchesScalar(const costmodel::Mlp &mlp,
-                             const std::vector<std::vector<double>> &points,
-                             const std::string &where)
+expectInputGradMatchesReference(
+    const costmodel::Mlp &mlp, const reference::ReferenceMlp &ref,
+    const std::vector<std::vector<double>> &points,
+    const std::string &where)
 {
     constexpr size_t L = kBatchLanes;
     const size_t width = std::min(points.size(), L);
@@ -402,12 +411,9 @@ expectInputGradMatchesScalar(const costmodel::Mlp &mlp,
     std::copy(x.begin(), x.end(), mlp.stageInputRows(batchScratch));
     mlp.forwardInputGradStaged(width, y, batchScratch);
     const double *dx = mlp.inputGradRows(batchScratch);
-    costmodel::MlpScratch scalarScratch;
     std::vector<double> refDx;
     for (size_t l = 0; l < width; ++l) {
-        EXPECT_BITEQ(y[l],
-                     mlp.forwardInputGrad(points[l], refDx,
-                                          scalarScratch))
+        EXPECT_BITEQ(y[l], ref.forwardInputGrad(points[l], refDx))
             << where << " lane " << l;
         for (size_t i = 0; i < in; ++i)
             EXPECT_BITEQ(dx[i * L + l], refDx[i])
@@ -452,9 +458,12 @@ TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
 
             reference::ReferenceMlp ref(initial.str());
             std::vector<double> refLoss;
-            for (int step = 0; step < kSteps; ++step)
+            std::vector<reference::ReferenceMlp> refAfter;
+            for (int step = 0; step < kSteps; ++step) {
                 refLoss.push_back(
                     ref.trainBatch(xs[step], ys[step], kLr));
+                refAfter.push_back(ref);
+            }
             const std::string refState = ref.saveFull();
 
             for (int w : widths) {
@@ -472,8 +481,8 @@ TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
                             mlp.trainBatch(xs[step], ys[step], kLr),
                             refLoss[step])
                             << where << " step " << step;
-                        expectInputGradMatchesScalar(
-                            mlp, xs[step],
+                        expectInputGradMatchesReference(
+                            mlp, refAfter[step], xs[step],
                             where + " step " + std::to_string(step));
                     }
                     std::ostringstream state;
@@ -481,9 +490,9 @@ TEST(SimdParity, MlpTrainBatchMatchesScalarReference)
                     EXPECT_TRUE(state.str() == refState)
                         << "saved state differs: " << where;
                     std::istringstream reload(state.str());
-                    expectInputGradMatchesScalar(
-                        costmodel::Mlp::loadFull(reload), xs.back(),
-                        where + " after loadFull");
+                    expectInputGradMatchesReference(
+                        costmodel::Mlp::loadFull(reload), ref,
+                        xs.back(), where + " after loadFull");
                 }
             }
         }
@@ -532,13 +541,14 @@ TEST(SimdParity, AdamStepEveryBackendBitExact)
 }
 
 // ---------------------------------------------------------------
-// Fused step vs the scalar chain of each lane: same tape, same
-// model, every backend, every ragged width. The chain is
-// CompiledExprs::forward, CostModel::predictTransformedWithGrad,
-// seeds -g on the features and lambda * 2 * v on every violated
-// penalty v > 0, then CompiledExprs::backward. The tape has
-// deliberate penalty outputs so the conditional penalty seeding is
-// exercised, and every input lane at or past the live width is NaN.
+// Fused step vs the per-point reference chain of each lane: same
+// tape, same model, every backend, every ragged width. The chain is
+// the tape's scalar forward, the reference cost model's score and
+// input gradient, seeds -g on the features and lambda * 2 * v on
+// every violated penalty v > 0, then the tape's scalar reverse
+// sweep (tests/support/tape_reference.h). The tape has deliberate
+// penalty outputs so the conditional penalty seeding is exercised,
+// and every input lane at or past the live width is NaN.
 // ---------------------------------------------------------------
 
 TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
@@ -573,6 +583,7 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
     const double lambda = 10.0;
     costmodel::FusedGradStep fused(compiled, model, kFeatures,
                                    kPenalties, lambda);
+    const reference::ReferenceCostModel refModel(model);
 
     const std::vector<int> widths = availableWidths();
     WidthGuard restore(0);
@@ -597,13 +608,14 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
 
             expr::EvalState scalarState;
             for (size_t l = 0; l < width; ++l) {
-                std::vector<double> outputs, modelGrad, grads;
-                compiled.forward(points[l], outputs, scalarState);
+                const std::vector<double> outputs =
+                    compiled.eval(points[l], scalarState);
+                std::vector<double> modelGrad;
                 const std::vector<double> features(
                     outputs.begin(), outputs.begin() + kFeatures);
                 const double score =
-                    model.predictTransformedWithGrad(features,
-                                                     modelGrad);
+                    refModel.predictTransformedWithGrad(features,
+                                                        modelGrad);
                 std::vector<double> seeds(outputs.size(), 0.0);
                 for (size_t k = 0; k < kFeatures; ++k)
                     seeds[k] = -modelGrad[k];
@@ -612,7 +624,8 @@ TEST(SimdParity, FusedStepVsUnfusedEveryBackendEveryWidth)
                     if (v > 0.0)
                         seeds[kFeatures + p] = lambda * 2.0 * v;
                 }
-                compiled.backward(seeds, grads, scalarState);
+                const std::vector<double> grads =
+                    expr::referenceGradient(compiled, points[l], seeds);
 
                 EXPECT_BITEQ(fusedScores[l], score)
                     << "backend " << activeBackendName() << " width "

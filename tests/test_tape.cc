@@ -4,8 +4,8 @@
  * folding, identity forwarding, DCE) must preserve forward values
  * and gradients bit for bit against the raw-tape reference
  * interpreters, the batched SoA entry points (tape, MLP, cost
- * model) must be bit-identical per point to their scalar
- * counterparts, and in a full gradient-search round no lane may
+ * model) must be bit-identical per point to the scalar references
+ * in tests/support/, and in a full gradient-search round no lane may
  * affect another. See docs/tape_engine.md for the determinism
  * argument these tests enforce.
  */
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
 
 #include "autodiff/gradcheck.h"
 #include "costmodel/cost_model.h"
@@ -314,7 +315,7 @@ TEST(TapeFuzz, GradcheckPassesOnOptimizedTapes)
 }
 
 // ---------------------------------------------------------------
-// Batched SoA engine vs. scalar engine.
+// Batched SoA engine vs. the scalar references.
 // ---------------------------------------------------------------
 
 TEST(BatchParity, TapeForwardBackwardMatchScalarAcrossWidths)
@@ -331,7 +332,6 @@ TEST(BatchParity, TapeForwardBackwardMatchScalarAcrossWidths)
         const size_t numOutputs = compiled.numOutputs();
 
         BatchEvalState batchState;
-        EvalState scalarState;
         for (size_t width = 1; width <= L; ++width) {
             std::vector<std::vector<double>> points(width);
             std::vector<std::vector<double>> seeds(width);
@@ -363,9 +363,9 @@ TEST(BatchParity, TapeForwardBackwardMatchScalarAcrossWidths)
             compiled.finishBackwardBatch(inputGrads.data(), batchState);
 
             for (size_t l = 0; l < width; ++l) {
-                std::vector<double> scalarOut, scalarGrad;
-                compiled.forward(points[l], scalarOut, scalarState);
-                compiled.backward(seeds[l], scalarGrad, scalarState);
+                std::vector<double> scalarOut;
+                const std::vector<double> scalarGrad = referenceGradient(
+                    compiled, points[l], seeds[l], &scalarOut);
                 for (size_t k = 0; k < numOutputs; ++k)
                     EXPECT_BITEQ(outputs[k * L + l], scalarOut[k]);
                 for (size_t v = 0; v < numVars; ++v)
@@ -382,11 +382,13 @@ TEST(BatchParity, MlpMatchesScalarPerLane)
     costmodel::MlpConfig config;
     config.layerSizes = {6, 16, 8, 1};
     costmodel::Mlp mlp(config, rng);
+    std::ostringstream text;
+    mlp.saveFull(text);
+    const reference::ReferenceMlp ref(text.str());
     constexpr size_t L = kBatchLanes;
     const size_t in = 6;
 
     costmodel::MlpBatchScratch batchScratch;
-    costmodel::MlpScratch scalarScratch;
     for (int trial = 0; trial < 50; ++trial) {
         std::vector<double> x(in * L);
         for (double &v : x)
@@ -403,12 +405,10 @@ TEST(BatchParity, MlpMatchesScalarPerLane)
             for (size_t i = 0; i < in; ++i)
                 point[i] = x[i * L + l];
             std::vector<double> scalarDx;
-            double scalarY = mlp.forwardInputGrad(point, scalarDx,
-                                                  scalarScratch);
+            double scalarY = ref.forwardInputGrad(point, scalarDx);
             EXPECT_BITEQ(y[l], scalarY);
             EXPECT_BITEQ(yFwd[l], scalarY);
-            EXPECT_BITEQ(yFwd[l],
-                         mlp.forward(point, scalarScratch));
+            EXPECT_BITEQ(yFwd[l], ref.forward(point));
             for (size_t i = 0; i < in; ++i)
                 EXPECT_BITEQ(dx[i * L + l], scalarDx[i]);
         }
@@ -434,7 +434,8 @@ TEST(BatchParity, CostModelBatchMatchesScalarPerLane)
 
     // Each live width in turn, with every lane at or past it NaN:
     // only the live lanes may be read, and they must match the
-    // scalar path bit for bit.
+    // per-point chain bit for bit.
+    const reference::ReferenceCostModel ref(model);
     constexpr size_t L = kBatchLanes;
     const double nan = std::numeric_limits<double>::quiet_NaN();
     costmodel::PredictScratch scratch;
@@ -451,7 +452,11 @@ TEST(BatchParity, CostModelBatchMatchesScalarPerLane)
             std::vector<double> point(dim);
             for (size_t i = 0; i < dim; ++i)
                 point[i] = raw[i * L + l];
-            EXPECT_BITEQ(scores[l], model.predict(point));
+            std::vector<double> grad;
+            EXPECT_BITEQ(scores[l],
+                         ref.predictTransformedWithGrad(
+                             costmodel::CostModel::transformFeatures(point),
+                             grad));
         }
     }
 }
