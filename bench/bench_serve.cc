@@ -1,12 +1,13 @@
 /**
  * @file
  * Serving-path microbenchmark: requests/second through a
- * ServeSession for cache hits (the steady-state fleet path: build
- * the request's graph, partition, hash, answer every subgraph from
- * the schedule cache) vs cache misses (cold subgraphs: sketch
- * generation, task registration, one initial measurement), plus the
- * background-round task pick (tuner::pickTask weighted by traffic
- * share) in isolation over a large task table.
+ * ServeSession for cache hits (the steady-state fleet path: look up
+ * the task list stored at the (network, batch)'s first request,
+ * hash, answer every subgraph from the schedule cache) vs cache
+ * misses (cold subgraphs: sketch generation, task registration, one
+ * initial measurement), plus the background-round task pick
+ * (tuner::pickTask weighted by traffic share) in isolation over a
+ * large task table.
  *
  * Besides the console table, --json-out=FILE writes the results
  * machine-readable to FILE (the committed baseline is
@@ -76,10 +77,12 @@ denseTasks(int64_t k)
 }
 
 /**
- * Steady state: every subgraph of the request is already cached.
- * The loop covers the whole request path — NDJSON parse, graph
- * build, partition, structural hash, cache lookup, response
- * formatting — with zero tuner work.
+ * Steady state: the session has served this (network, batch)
+ * before, so every subgraph of the request is cached and its task
+ * list is stored. The loop covers the whole repeat-request path —
+ * NDJSON parse, task-list lookup, structural hash, cache lookup,
+ * response formatting — with no graph build, no partition and zero
+ * tuner work.
  */
 void
 BM_RequestCached(benchmark::State &state)

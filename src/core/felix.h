@@ -108,8 +108,12 @@ struct OptimizerOptions
 /**
  * Rebuild a compiled module from a tuning-record log without
  * re-searching (TVM's "apply history best"): picks the lowest-
- * latency record per task. Tasks with no record fall back to a
- * library-free naive estimate of 0 and are reported missing.
+ * latency record per task. A task with no record is reported
+ * missing and gets an empty config (sketch 0, no schedule values,
+ * latency 0) that the module latency leaves out, so such a module
+ * understates the network and CompiledModule::load rejects it once
+ * saved; felix-tune --replay-records writes no --out module while a
+ * task is missing.
  *
  * @param missing when non-null, receives the labels of tasks that
  *        had no record in the log.

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,9 +41,13 @@ jsonNumber(double value)
 {
     if (!std::isfinite(value))
         return "null";
+    // The text of printf's %.17g (the standard defines to_chars with
+    // a precision by printf), without printf's format parsing.
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    const auto result =
+        std::to_chars(buf, buf + sizeof(buf), value,
+                      std::chars_format::general, 17);
+    return std::string(buf, result.ptr);
 }
 
 bool

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.h"
@@ -14,6 +16,32 @@ std::string
 hashString(uint64_t hash)
 {
     return obs::jsonEscape(std::to_string(hash));
+}
+
+/**
+ * Read member @p key of @p doc into @p out when present. It must be
+ * a JSON number holding an integer in [1, 2^31 - 1]; otherwise false,
+ * with an error naming @p key.
+ */
+bool
+positiveIntMember(const obs::JsonValue &doc, const char *key, int *out,
+                  std::string *error)
+{
+    const obs::JsonValue *value = doc.find(key);
+    if (!value)
+        return true;
+    if (value->isNumber()) {
+        const double n = value->asNumber();
+        if (n >= 1.0 && n <= std::numeric_limits<int>::max() &&
+            n == std::floor(n)) {
+            *out = static_cast<int>(n);
+            return true;
+        }
+    }
+    if (error)
+        *error = std::string("\"") + key +
+                 "\" must be an integer in [1, 2147483647]";
+    return false;
 }
 
 } // namespace
@@ -54,22 +82,13 @@ parseRequest(const std::string &line, std::string *error)
                 *error = "tune request needs a \"network\"";
             return std::nullopt;
         }
-        request.batch =
-            static_cast<int>(doc->numberOr("batch", 1.0));
-        if (request.batch < 1) {
-            if (error)
-                *error = "tune request needs batch >= 1";
+        if (!positiveIntMember(*doc, "batch", &request.batch, error))
             return std::nullopt;
-        }
         request.device = doc->stringOr("device", "");
     } else if (op == "rounds") {
         request.op = Op::Rounds;
-        request.rounds = static_cast<int>(doc->numberOr("n", 1.0));
-        if (request.rounds < 1) {
-            if (error)
-                *error = "rounds request needs n >= 1";
+        if (!positiveIntMember(*doc, "n", &request.rounds, error))
             return std::nullopt;
-        }
     } else if (op == "stats") {
         request.op = Op::Stats;
     } else if (op == "tasks") {

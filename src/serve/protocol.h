@@ -55,7 +55,9 @@ struct Request
 
 /**
  * Parse one NDJSON request line. nullopt on malformed input, with a
- * human-readable reason in @p error when non-null.
+ * human-readable reason in @p error when non-null. A tune's "batch"
+ * and a rounds' "n" default to 1; when present, each must be a JSON
+ * number holding an integer in [1, 2^31 - 1].
  */
 std::optional<Request> parseRequest(const std::string &line,
                                     std::string *error = nullptr);

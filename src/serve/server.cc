@@ -166,20 +166,29 @@ ServeSession::dispatch(const Request &request)
                   "this daemon tunes for " + options_.device +
                   ", not " + request.device);
           }
-          std::optional<graph::Graph> network;
-          {
-              FELIX_SPAN("serve.build_network", "serve");
-              network = buildNetwork(request.network, request.batch);
+          auto key = std::make_pair(request.network, request.batch);
+          auto known = networks_.find(key);
+          if (known == networks_.end()) {
+              std::optional<graph::Graph> network;
+              {
+                  FELIX_SPAN("serve.build_network", "serve");
+                  network =
+                      buildNetwork(request.network, request.batch);
+              }
+              if (!network)
+                  return errorResponse("unknown network \"" +
+                                       request.network + "\"");
+              std::vector<graph::Task> networkTasks;
+              {
+                  FELIX_SPAN("serve.partition", "serve");
+                  networkTasks = graph::partition(*network);
+              }
+              known = networks_
+                          .emplace(std::move(key),
+                                   std::move(networkTasks))
+                          .first;
           }
-          if (!network)
-              return errorResponse("unknown network \"" +
-                                   request.network + "\"");
-          std::vector<graph::Task> networkTasks;
-          {
-              FELIX_SPAN("serve.partition", "serve");
-              networkTasks = graph::partition(*network);
-          }
-          return encode(tune(request.network, networkTasks));
+          return encode(tune(request.network, known->second));
       }
       case Op::Rounds:
           return encode(runRounds(request.rounds));

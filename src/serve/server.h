@@ -25,9 +25,11 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -142,6 +144,13 @@ class ServeSession
     sim::DeviceKind deviceKind_;
     std::unique_ptr<tuner::GraphTuner> tuner_;
     ScheduleCache cache_;
+    /** The task list graph::partition returned for each (network,
+     *  batch) served: only a pair's first tune request builds and
+     *  partitions the network (both pure functions of the pair).
+     *  One entry per distinct pair, kept for the session, like the
+     *  cache and the tuner's task table. */
+    std::map<std::pair<std::string, int>, std::vector<graph::Task>>
+        networks_;
     /** Exact traffic: per subgraph hash, the summed weights of every
      *  task occurrence served; their total; and the largest count
      *  (the serve.heavy_hitter_share gauge). */

@@ -13,7 +13,9 @@
 #
 # Each series runs five times and the report keeps its median
 # (bench/bench_json.h), so one slow repetition on a busy host does
-# not fail the gate.
+# not fail the gate. The repetitions of all series run in a random
+# interleaved order, so one series' five are spread over the whole
+# run instead of sharing one slow spell of the host.
 #
 # With -DSTRICT_NEW=ON the diff also fails when the fresh run has a
 # benchmark the committed baseline lacks — i.e. the baseline must be
@@ -45,6 +47,7 @@ execute_process(
     COMMAND "${BENCH_BIN}" "--json-out=${current}"
         --benchmark_repetitions=5
         --benchmark_report_aggregates_only=true
+        --benchmark_enable_random_interleaving=true
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)

@@ -6,14 +6,18 @@
 #         -DCACHE_DIR=... -P obs_smoke.cmake
 #
 # Steps:
-#   1. felix-tune --network dcgan --budget 10 with --trace-out and
-#      --metrics-out (a couple of tuning rounds on one CPU core).
-#   2. Check both files exist and are non-empty.
+#   1. felix-tune --network dcgan --budget 10 with --trace-out,
+#      --metrics-out and --save-records (a couple of tuning rounds on
+#      one CPU core).
+#   2. Check both telemetry files exist and are non-empty.
 #   3. felix-trace-summary TRACE METRICS — it exits non-zero when
 #      either file is not well-formed JSON / JSONL, so it doubles as
 #      the format validator.
 #   4. Check the JSONL contains at least one per-round record and the
 #      final metrics snapshot.
+#   5. Replay the saved records cut to their first two lines with
+#      --out: the other tasks have no record, so felix-tune exits 2
+#      and writes no module.
 
 foreach(var FELIX_TUNE TRACE_SUMMARY WORK_DIR CACHE_DIR)
     if(NOT DEFINED ${var})
@@ -25,6 +29,7 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(trace_file "${WORK_DIR}/trace.json")
 set(metrics_file "${WORK_DIR}/metrics.jsonl")
+set(records_file "${WORK_DIR}/records.log")
 
 execute_process(
     COMMAND "${FELIX_TUNE}"
@@ -32,6 +37,7 @@ execute_process(
         --cache-dir "${CACHE_DIR}"
         --trace-out "${trace_file}"
         --metrics-out "${metrics_file}"
+        --save-records "${records_file}"
     RESULT_VARIABLE tune_rc
     OUTPUT_VARIABLE tune_out
     ERROR_VARIABLE tune_err)
@@ -100,6 +106,41 @@ foreach(needle "traceEvents" "tuner.round" "search.round")
             "trace missing \"${needle}\" in ${trace_file}")
     endif()
 endforeach()
+
+# A replay whose log lacks some of the network's tasks reports them
+# missing, exits 2 and saves no module.
+file(STRINGS "${records_file}" record_lines)
+list(LENGTH record_lines record_count)
+if(record_count LESS 3)
+    message(FATAL_ERROR
+        "expected one record per dcgan task in ${records_file}, "
+        "found ${record_count}")
+endif()
+file(STRINGS "${records_file}" cut_lines LIMIT_COUNT 2)
+set(cut_file "${WORK_DIR}/records_cut.log")
+file(WRITE "${cut_file}" "")
+foreach(line IN LISTS cut_lines)
+    file(APPEND "${cut_file}" "${line}\n")
+endforeach()
+set(replay_module "${WORK_DIR}/replayed.cfg")
+execute_process(
+    COMMAND "${FELIX_TUNE}"
+        --network dcgan --device a5000
+        --cache-dir "${CACHE_DIR}"
+        --replay-records "${cut_file}"
+        --out "${replay_module}"
+    RESULT_VARIABLE replay_rc
+    OUTPUT_VARIABLE replay_out
+    ERROR_VARIABLE replay_err)
+if(NOT replay_rc EQUAL 2)
+    message(FATAL_ERROR
+        "replay of a partial log exited ${replay_rc}, not 2:\n"
+        "${replay_out}\n${replay_err}")
+endif()
+if(EXISTS "${replay_module}")
+    message(FATAL_ERROR
+        "replay of a partial log wrote ${replay_module}")
+endif()
 
 message(STATUS
     "obs smoke OK: ${round_lines} round records + metrics snapshot")

@@ -4,12 +4,15 @@
  * bench_serve: per-iteration real time reaches the report in
  * nanoseconds whatever a benchmark's Unit(), repeated runs keep one
  * row per series (the median), the rendered report parses back with
- * the fields felix-bench-diff matches on, and a suite writes a
- * report only when asked to.
+ * the fields felix-bench-diff matches on, the bench gate's
+ * interleaved repetitions still leave one median row per series,
+ * and a suite writes a report only when asked to.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -132,6 +135,68 @@ TEST(BenchJson, RenderedReportParsesBack)
     EXPECT_DOUBLE_EQ(first.numberOr("requests_per_s", 0.0), 134.2);
     EXPECT_DOUBLE_EQ(
         results->asArray()[1].numberOr("real_time_ns", 0.0), 25.5);
+}
+
+/** Series for the interleaving test: a few cheap fixed iterations. */
+void
+BM_JsonTestSeries(benchmark::State &state)
+{
+    int64_t sum = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sum += state.range(0));
+    state.counters["items_per_s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_JsonTestSeries)->Arg(1)->Arg(2)->Arg(3)->Iterations(64);
+
+TEST(BenchJson, InterleavedRepetitionsKeepOneMedianRowPerSeries)
+{
+    // The bench gate's flags: five repetitions per series, run in a
+    // random interleaved order, aggregates only. Each series still
+    // reports its own repetitions once they are all done, so the
+    // report holds one median row per series.
+    namespace fs = std::filesystem;
+    const fs::path report =
+        fs::temp_directory_path() /
+        ("bench_json_interleaved_" + std::to_string(::getpid()) +
+         ".json");
+    std::vector<std::string> args = {
+        "bench_test",
+        "--benchmark_filter=^BM_JsonTestSeries/",
+        "--benchmark_repetitions=5",
+        "--benchmark_report_aggregates_only=true",
+        "--benchmark_enable_random_interleaving=true",
+        "--json-out=" + report.string()};
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    ASSERT_EQ(runSuite(static_cast<int>(args.size()), argv.data(),
+                       "test"),
+              0);
+
+    std::ifstream is(report);
+    std::stringstream text;
+    text << is.rdbuf();
+    fs::remove(report);
+    std::string error;
+    auto doc = obs::parseJson(text.str(), &error);
+    ASSERT_TRUE(doc) << error << "\n" << text.str();
+    const obs::JsonValue *results = doc->find("results");
+    ASSERT_NE(results, nullptr);
+    std::vector<std::string> names;
+    for (const obs::JsonValue &row : results->asArray()) {
+        names.push_back(row.stringOr("name", ""));
+        EXPECT_GT(row.numberOr("real_time_ns", 0.0), 0.0);
+        EXPECT_GT(row.numberOr("items_per_s", 0.0), 0.0);
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names,
+              (std::vector<std::string>{
+                  "BM_JsonTestSeries/1/iterations:64",
+                  "BM_JsonTestSeries/2/iterations:64",
+                  "BM_JsonTestSeries/3/iterations:64"}));
 }
 
 TEST(BenchJson, NoReportWithoutJsonOut)

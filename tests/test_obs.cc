@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -464,6 +467,55 @@ TEST(Json, EscapeRoundTrips)
     auto parsed = parseJson(jsonEscape(nasty));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->asString(), nasty);
+}
+
+TEST(Json, NumberIsPrintfG17Text)
+{
+    auto printfG17 = [](double value) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", value);
+        return std::string(buf);
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 0.1, -0.1, 1.0, 0.5, 1.0 / 3.0, 2.0 / 3.0,
+        DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_TRUE_MIN,
+        -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0), DBL_EPSILON,
+        1e16, 1e17, 99999999999999999.0, 123456789012345678.0};
+    for (int i = -100000; i <= 100000; ++i)
+        values.push_back(i);
+    // 1e16-1e17: 17 significant digits switch %g from fixed to
+    // exponent notation there.
+    for (double v = 1e16; v <= 1.1e17; v *= 1.0137) {
+        values.push_back(v);
+        values.push_back(std::nextafter(v, 0.0));
+        values.push_back(std::nextafter(v, DBL_MAX));
+    }
+    std::mt19937_64 rng(20261020);
+    for (int i = 0; i < 100000; ++i) {
+        const uint64_t bits = rng();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+    std::uniform_real_distribution<double> exponent(-300.0, 300.0);
+    for (int i = 0; i < 100000; ++i) {
+        const double v = std::pow(10.0, exponent(rng));
+        values.push_back(i % 2 ? v : -v);
+        values.push_back(std::round(v * 1e6) / 1e6);
+    }
+    size_t mismatches = 0;
+    for (double v : values) {
+        if (jsonNumber(v) != printfG17(v) && ++mismatches <= 5) {
+            ADD_FAILURE() << printfG17(v) << " printed as "
+                          << jsonNumber(v);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+
+    EXPECT_EQ(jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(jsonNumber(HUGE_VAL), "null");
+    EXPECT_EQ(jsonNumber(-HUGE_VAL), "null");
 }
 
 TEST(Trace, DisabledSpansRecordNothing)

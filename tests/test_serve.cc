@@ -5,7 +5,8 @@
  * codec, crash-safe record appends and record validation, exact
  * traffic counts and the heavy-hitter order, and the full
  * ServeSession cache-miss -> tune -> cache-hit round trip with
- * bit-identical replay.
+ * bit-identical replay, and repeat requests answered from the task
+ * list stored at a (network, batch)'s first request.
  */
 #include <gtest/gtest.h>
 
@@ -17,9 +18,11 @@
 
 #include "costmodel/dataset.h"
 #include "graph/graph.h"
+#include "models/models.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -372,6 +375,51 @@ TEST(Protocol, RejectsMalformedRequests)
                      &error));
     EXPECT_FALSE(parseRequest(R"({"op":"rounds","n":0})", &error));
     EXPECT_FALSE(error.empty());
+
+    // batch and n, when present, must be JSON numbers holding an
+    // integer in [1, 2^31 - 1]: no truncated fraction, no quoted
+    // number read as the default, no out-of-range cast. The error
+    // names the field.
+    const struct
+    {
+        const char *line;
+        const char *field;
+    } bad[] = {
+        {R"({"op":"tune","network":"x","batch":2.5})", "\"batch\""},
+        {R"({"op":"tune","network":"x","batch":"4"})", "\"batch\""},
+        {R"({"op":"tune","network":"x","batch":1e10})", "\"batch\""},
+        {R"({"op":"tune","network":"x","batch":2147483648})",
+         "\"batch\""},
+        {R"({"op":"tune","network":"x","batch":-2})", "\"batch\""},
+        {R"({"op":"tune","network":"x","batch":null})", "\"batch\""},
+        {R"({"op":"rounds","n":2.5})", "\"n\""},
+        {R"({"op":"rounds","n":"4"})", "\"n\""},
+        {R"({"op":"rounds","n":1e10})", "\"n\""},
+        {R"({"op":"rounds","n":1e999})", "\"n\""},
+    };
+    for (const auto &c : bad) {
+        error.clear();
+        EXPECT_FALSE(parseRequest(c.line, &error)) << c.line;
+        EXPECT_NE(error.find(c.field), std::string::npos)
+            << c.line << ": " << error;
+    }
+    // Integers in range parse, whatever their spelling; absent
+    // fields default to 1.
+    auto tune = parseRequest(
+        R"({"op":"tune","network":"x","batch":4.0})", &error);
+    ASSERT_TRUE(tune);
+    EXPECT_EQ(tune->batch, 4);
+    auto rounds =
+        parseRequest(R"({"op":"rounds","n":2147483647})", &error);
+    ASSERT_TRUE(rounds);
+    EXPECT_EQ(rounds->rounds, 2147483647);
+    auto defaults = parseRequest(R"({"op":"rounds"})", &error);
+    ASSERT_TRUE(defaults);
+    EXPECT_EQ(defaults->rounds, 1);
+    auto defaultBatch =
+        parseRequest(R"({"op":"tune","network":"x"})", &error);
+    ASSERT_TRUE(defaultBatch);
+    EXPECT_EQ(defaultBatch->batch, 1);
 }
 
 // ---------------------------------------------------------------
@@ -594,6 +642,91 @@ TEST(ServeSession, StdioReplayIsBitIdentical)
               std::string::npos);
     EXPECT_NE(first.find("\"cache_hits\":5"), std::string::npos);
     EXPECT_NE(first.find("\"type\":\"ok\""), std::string::npos);
+}
+
+/** Network @p name at @p batch, built as felix-serve builds it. */
+graph::Graph
+buildNetwork(const std::string &name, int batch)
+{
+    if (name == "dcgan")
+        return models::dcgan(batch);
+    if (name == "vit_b32")
+        return models::vitB32(batch);
+    ADD_FAILURE() << "unknown test network " << name;
+    return graph::Graph(name);
+}
+
+/** Spans named @p name in a Chrome trace document. */
+int
+spanCount(const obs::JsonValue &trace, const std::string &name)
+{
+    const obs::JsonValue *events = trace.find("traceEvents");
+    if (!events)
+        return -1;
+    int count = 0;
+    for (const obs::JsonValue &event : events->asArray())
+        count += event.stringOr("name", "") == name ? 1 : 0;
+    return count;
+}
+
+TEST(ServeSession, RepeatRequestsReuseTheStoredPartition)
+{
+    // Tune requests repeated for three (network, batch) pairs, one
+    // network at two batches, with a rounds request after each.
+    const std::vector<std::pair<std::string, int>> pairs = {
+        {"dcgan", 1}, {"dcgan", 2}, {"vit_b32", 1}};
+    std::vector<std::string> trace;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        for (const auto &[name, batch] : pairs) {
+            trace.push_back("{\"op\":\"tune\",\"network\":\"" + name +
+                            "\",\"batch\":" + std::to_string(batch) +
+                            "}");
+            trace.push_back(R"({"op":"rounds","n":1})");
+        }
+    }
+
+    // One session answers through handle(), traced.
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.clear();
+    tracer.start("");
+    ServeSession served(fastOptions(), testModel());
+    std::vector<std::string> handled;
+    for (const std::string &line : trace)
+        handled.push_back(served.handle(line));
+    auto spans = obs::parseJson(tracer.toJson());
+    tracer.stop();
+    tracer.clear();
+
+    // Its twin builds and partitions the network of every request.
+    ServeSession direct(fastOptions(), testModel());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        auto request = parseRequest(trace[i]);
+        ASSERT_TRUE(request);
+        const std::string answer =
+            request->op == Op::Tune
+                ? direct
+                      .tune(request->network,
+                            graph::partition(buildNetwork(
+                                request->network, request->batch)))
+                      .toJson()
+                : direct.runRounds(request->rounds).toJson();
+        EXPECT_EQ(handled[i], answer)
+            << "request " << i << ": " << trace[i];
+    }
+
+    // Only the first request of each pair built and partitioned its
+    // network; every tune request was answered by tune().
+    ASSERT_TRUE(spans);
+    EXPECT_EQ(spanCount(*spans, "serve.build_network"), 3);
+    EXPECT_EQ(spanCount(*spans, "serve.partition"), 3);
+    EXPECT_EQ(spanCount(*spans, "serve.tune"), 9);
+
+    // An unknown network is not stored: every request errors.
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_NE(served.handle(R"({"op":"tune","network":"nope"})")
+                      .find("unknown network"),
+                  std::string::npos);
+    }
 }
 
 TEST(ServeSession, HandleRejectsBadRequestsGracefully)

@@ -327,6 +327,24 @@ TEST(Records, TunerWritesReplayableLog)
     EXPECT_NEAR(module.run(), tuner.networkLatency(),
                 tuner.networkLatency() * 0.05);
     std::remove(path);
+
+    // The replayed module saves and loads back unchanged.
+    const char *modulePath = "test_tuner_replayed_tmp.cfg";
+    module.save(modulePath);
+    auto loaded = CompiledModule::load(modulePath);
+    std::remove(modulePath);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->run(), module.run());
+    ASSERT_EQ(loaded->configs().size(), module.configs().size());
+    for (size_t i = 0; i < module.configs().size(); ++i) {
+        const TaskConfig &want = module.configs()[i];
+        const TaskConfig &got = loaded->configs()[i];
+        EXPECT_EQ(got.taskLabel, want.taskLabel);
+        EXPECT_EQ(got.weight, want.weight);
+        EXPECT_EQ(got.sketchIndex, want.sketchIndex);
+        EXPECT_EQ(got.scheduleVars, want.scheduleVars);
+        EXPECT_EQ(got.latencySec, want.latencySec);
+    }
 }
 
 TEST(CoreApi, ModuleLoadRejectsGarbage)

@@ -55,7 +55,9 @@ usage()
         "              per task after tuning (the schedule-cache\n"
         "              format felix-serve warm-starts from)\n"
         "  --replay-records FILE apply history best from a tuning\n"
-        "              record log and skip the search entirely\n"
+        "              record log and skip the search entirely;\n"
+        "              exit 2, writing no --out module, when a\n"
+        "              task has no record\n"
         "  --trace-out FILE    write a Chrome trace_event JSON file\n"
         "                      (open in chrome://tracing / Perfetto)\n"
         "  --metrics-out FILE  write per-round telemetry records plus\n"
@@ -294,7 +296,15 @@ main(int argc, char **argv)
                     missing.size());
         for (const std::string &label : missing)
             std::printf("    missing: %s\n", label.c_str());
-        if (!outPath.empty()) {
+        if (!outPath.empty() && !missing.empty()) {
+            // A missing task has no schedule and no latency, so the
+            // module would understate the network and fail to load.
+            std::fprintf(stderr,
+                         "felix-tune: not writing %s: %zu tasks have "
+                         "no record in %s\n",
+                         outPath.c_str(), missing.size(),
+                         replayRecords.c_str());
+        } else if (!outPath.empty()) {
             module.save(outPath);
             std::printf("saved replayed schedules to %s\n",
                         outPath.c_str());
